@@ -10,12 +10,13 @@
    storing datasheets that point into the design hierarchy.  Cross-tool
    queries work because both speak the same tuple conventions.
 
-   This example uses the umbrella [Hyperfile] module as an application
-   would.
-
    Run with:  dune exec examples/vlsi_design.exe *)
 
-open Hyperfile
+open Hf_data
+module Embedded = Hf_client.Embedded
+module Backlinks = Hf_index.Backlinks
+module Local = Hf_engine.Local
+module Parser = Hf_query.Parser
 
 let () =
   let server = Embedded.create ~n_sites:2 () in

@@ -37,6 +37,7 @@
 module Message = Hf_proto.Message
 module Credit = Hf_termination.Credit
 module Sched = Hf_server.Sched
+module Site_core = Hf_server.Site_core
 
 let src = Logs.Src.create "hf.net" ~doc:"HyperFile TCP transport"
 
@@ -129,62 +130,37 @@ let conn_close ~join_errors conn =
 
 (* --- execution mode (doc/execution_modes.md) --- *)
 
-type exec_mode =
-  | Exec_ship (* classic query shipping only; no planner runs *)
-  | Exec_scatter (* scatter-gather whenever the program is eligible *)
-  | Exec_auto (* per-query cost-based choice ([Hf_query.Plan]) *)
+type exec_mode = Site_core.exec_mode = Exec_ship | Exec_scatter | Exec_auto
 
 (* --- per-query state --- *)
 
 (* Every mutable part of a context is owned by the site lock: handlers
    and [run_query] only touch contexts inside [locked]. *)
 type context = {
-  plan : Hf_engine.Plan.t;
-  origin : int;
+  q : Site_core.query; [@hf.guarded_by "locked"]
+      (* the shared per-query decision state: results, cache routing,
+         the stitch *)
   span : int; (* this site's evaluation span for the query *)
   marks : Hf_engine.Mark_table.t;
   work : Hf_engine.Work_item.t Hf_util.Deque.t; [@hf.guarded_by "locked"]
   stats : Hf_engine.Stats.t;
   mutable held : Credit.t; [@hf.guarded_by "locked"]
       (* weighted-termination credit at this site *)
-  mutable result_buffer : Hf_data.Oid.t list; [@hf.guarded_by "locked"]
-  bindings : (string, Hf_data.Value.t list) Hashtbl.t; [@hf.guarded_by "locked"]
-  mutable local_result_set : Hf_data.Oid.Set.t; [@hf.guarded_by "locked"]
   (* origin-side only *)
   mutable recovered : Credit.t; [@hf.guarded_by "locked"]
-  mutable final_results : Hf_data.Oid.t list; [@hf.guarded_by "locked"] (* newest first *)
-  mutable final_set : Hf_data.Oid.Set.t; [@hf.guarded_by "locked"]
-  final_bindings : (string, Hf_data.Value.t list) Hashtbl.t; [@hf.guarded_by "locked"]
   mutable terminated : bool; [@hf.guarded_by "locked"]
   mutable unreachable : int list; [@hf.guarded_by "locked"]
       (* origin-side: sites whose retry budget was exhausted while this
          query ran — the answer is partial with respect to them *)
-  (* Cache layer (DESIGN.md §4g): items headed for an unvalidated
-     destination wait in [parked], their credit unsplit, until the
-     Cache_version reply (or a give-up) resolves them; the credit-return
-     tail is gated on all of [parked_count], [out_pending] and
-     [draining] so it runs only once every remote-bound item is on the
-     wire (or served locally). *)
-  validated : (int, int) Hashtbl.t; [@hf.guarded_by "locked"]
-      (* dst -> store version vouched for this query *)
-  validating : (int, unit) Hashtbl.t; [@hf.guarded_by "locked"]
-  parked : (int, Hf_engine.Work_item.t list) Hashtbl.t; [@hf.guarded_by "locked"]
-      (* dst -> items awaiting validation, newest first *)
-  mutable parked_count : int; [@hf.guarded_by "locked"]
+  (* The credit-return tail is gated on all of [q.parked_count],
+     [out_pending] and [draining] so it runs only once every
+     remote-bound item is on the wire (or served locally). *)
   mutable out_pending : int; [@hf.guarded_by "locked"]
       (* items buffered in some live [process_to_drain] batcher *)
   mutable draining : int; [@hf.guarded_by "locked"]
       (* reentrancy depth of [process_to_drain]: a give-up that fires
          mid-drain must not run the credit-return tail under the outer
          drain's feet *)
-  mutable answers : (Hf_engine.Work_item.t * bool) list; [@hf.guarded_by "locked"]
-      (* cacheable verdicts computed here for the originator's cache,
-         newest first; flushed (credit-free) with the drain tail *)
-  mutable answers_version : int; [@hf.guarded_by "locked"]
-  mutable scatter : Hf_engine.Scatter.Stitch.t option; [@hf.guarded_by "locked"]
-      (* origin-side: live stitch while a scatter round is outstanding;
-         gates the credit-return tail until every gather (or a give-up
-         verdict for its site) has landed *)
   mutable ran_mode : Hf_query.Plan.mode; [@hf.guarded_by "locked"]
       (* which execution mode actually ran (origin-side) *)
   mutable decision : Hf_query.Plan.decision option; [@hf.guarded_by "locked"]
@@ -241,7 +217,6 @@ type t = {
   mutable ticker : Thread.t option;
       (* the reliability ticker, joinable on its own: shutdown quiesces
          it before tearing connections down *)
-  mutable threads : Thread.t list; [@hf.guarded_by "locked"]
   mutable dead_writers : Thread.t list; [@hf.guarded_by "locked"]
       (* writer threads of connections discarded while the site lock was
          held ([conn_discard]): Thread.join can block, so shutdown joins
@@ -265,25 +240,11 @@ type t = {
   mutable dup_drops : int; [@hf.guarded_by "locked"]
   mutable acks_sent : int; [@hf.guarded_by "locked"]
   mutable give_ups : int; [@hf.guarded_by "locked"]
-  (* cache layer (None = ships every item, the seed protocol) *)
-  cache_config : Hf_index.Remote_cache.config option;
-  cache : Hf_index.Remote_cache.t option; [@hf.guarded_by "locked"]
-  mutable summary_memo : (int * Hf_index.Bloom.t) option; [@hf.guarded_by "locked"]
-      (* this site's own Bloom tuple summary, memoized per store version *)
-  summary_told : (int, int) Hashtbl.t; [@hf.guarded_by "locked"]
-      (* peer -> store version whose summary we last sent them *)
-  summaries : (int, int * Hf_index.Bloom.t) Hashtbl.t; [@hf.guarded_by "locked"]
-      (* peer -> (version, summary) learned from Cache_version replies *)
-  mutable summary_epoch : int; [@hf.guarded_by "locked"]
-      (* monotonic count of this site's summary recomputes; rides every
-         Cache_version reply so peers can spot a restarted lineage *)
-  peer_epochs : (int, int) Hashtbl.t; [@hf.guarded_by "locked"]
-      (* peer -> last summary epoch seen from it; a regression drops
-         everything learned from the peer, Bloofi leaf included *)
-  bloofi : Hf_index.Bloofi.t option; [@hf.guarded_by "locked"]
-      (* Bloofi tree over learned peer summaries ([None] = disabled:
-         the planner falls back to the flat per-peer scan) *)
-  bloofi_depth : Hf_obs.Histogram.t; (* deepest level per planner descent *)
+  core : Site_core.t; [@hf.guarded_by "locked"]
+      (* remote-answer cache, own and learned summaries, Bloofi tree
+         (absent when disabled: the planner scans the flat summaries),
+         locality memo *)
+  (* cache layer counters *)
   mutable cache_hits : int; [@hf.guarded_by "locked"]
   mutable cache_misses : int; [@hf.guarded_by "locked"]
   mutable cache_prunes : int; [@hf.guarded_by "locked"]
@@ -298,9 +259,6 @@ type t = {
   mutable scatter_fallbacks : int; [@hf.guarded_by "locked"]
   mutable planner_scatter : int; [@hf.guarded_by "locked"]
   mutable planner_ship : int; [@hf.guarded_by "locked"]
-  mutable locality_memo : (int * float) option; [@hf.guarded_by "locked"]
-      (* (store version, fraction of this store's pointer tuples that
-         stay on-site) — the planner's locality signal *)
   (* cluster-wide stats scraping and monitoring (DESIGN.md §4i) *)
   mutable stats_token : int; [@hf.guarded_by "locked"]
       (* last Stats_pull token issued by this site; replies carrying an
@@ -485,33 +443,20 @@ let new_context t ?(cause = 0) ~query ~origin program =
       ~query:(Fmt.str "%a" Message.pp_query_id query)
       ~site:t.id ~phase:Hf_obs.Span.Eval "site-eval"
   in
+  let final = if origin = t.id then Some (Site_core.results ()) else None in
   let ctx =
     {
-      plan = Hf_engine.Plan.make program;
-      origin;
+      q = Site_core.query (Hf_engine.Plan.make program) ~origin ~final;
       span;
       marks = Hf_engine.Mark_table.create ();
       work = Hf_util.Deque.create ();
       stats = Hf_engine.Stats.create ();
       held = Credit.zero;
-      result_buffer = [];
-      bindings = Hashtbl.create 4;
-      local_result_set = Hf_data.Oid.Set.empty;
       recovered = Credit.zero;
-      final_results = [];
-      final_set = Hf_data.Oid.Set.empty;
-      final_bindings = Hashtbl.create 4;
       terminated = false;
       unreachable = [];
-      validated = Hashtbl.create 4;
-      validating = Hashtbl.create 4;
-      parked = Hashtbl.create 4;
-      parked_count = 0;
       out_pending = 0;
       draining = 0;
-      answers = [];
-      answers_version = 0;
-      scatter = None;
       ran_mode = Hf_query.Plan.Ship;
       decision = None;
       msgs_sent = 0;
@@ -562,9 +507,7 @@ let evict_context t query (ctx : context) =
   ctx.held <- Credit.zero;
   Hf_obs.Tracer.finish t.tracer ctx.span;
   Hf_util.Deque.clear ctx.work;
-  Hashtbl.reset ctx.parked;
-  ctx.parked_count <- 0;
-  Hashtbl.reset ctx.validating;
+  Site_core.drop_parked ctx.q;
   Hashtbl.remove t.contexts query;
   mark_closed t query
 [@@hf.requires_lock "locked"]
@@ -579,15 +522,27 @@ let release_slot t (ctx : context) =
   end
 [@@hf.requires_lock "locked"]
 
-let merge_bindings table extra =
-  List.iter
-    (fun (target, values) ->
-      let existing = match Hashtbl.find_opt table target with None -> [] | Some v -> v in
-      Hashtbl.replace table target (existing @ values))
-    extra
-
 let note_unreachable ctx dead =
   if not (List.mem dead ctx.unreachable) then ctx.unreachable <- dead :: ctx.unreachable
+[@@hf.requires_lock "locked"]
+
+(* Count a routing verdict; [true] iff the item must still ship.
+   Prune and hit keep it off the wire before its credit is ever
+   split. *)
+let ships t (verdict : Site_core.verdict) =
+  match verdict with
+  | Pruned ->
+    t.cache_prunes <- t.cache_prunes + 1;
+    false
+  | Hit _ ->
+    t.cache_hits <- t.cache_hits + 1;
+    false
+  | Miss { invalidated } ->
+    if invalidated then t.cache_invalidations <- t.cache_invalidations + 1;
+    t.cache_misses <- t.cache_misses + 1;
+    true
+  | Ship -> true
+  | Parked _ -> false
 [@@hf.requires_lock "locked"]
 
 (* Front door for outgoing messages.  With reliability off this is a
@@ -665,7 +620,7 @@ and give_up_message t ~dst message =
     (match Hashtbl.find_opt t.contexts query with
      | None -> ()
      | Some ctx -> (
-         match ctx.scatter with
+         match ctx.q.scatter with
          | None -> ()
          | Some st -> ignore (Hf_engine.Scatter.Stitch.site_dead st ~site:dst)));
     reclaim query credit;
@@ -687,123 +642,45 @@ and give_up_message t ~dst message =
 
 (* --- the cache layer (DESIGN.md §4g) --- *)
 
-(* Apply a verdict obtained without shipping (cache hit): the result
-   bookkeeping the remote's Result message would have caused, minus the
-   wire. *)
-and apply_cached_verdict t ctx wi passed =
-  if passed then begin
-    let oid = Hf_engine.Work_item.oid wi in
-    if not (Hf_data.Oid.Set.mem oid ctx.local_result_set) then begin
-      ctx.local_result_set <- Hf_data.Oid.Set.add oid ctx.local_result_set;
-      if t.id = ctx.origin then begin
-        if not (Hf_data.Oid.Set.mem oid ctx.final_set) then begin
-          ctx.final_set <- Hf_data.Oid.Set.add oid ctx.final_set;
-          ctx.final_results <- oid :: ctx.final_results
-        end
-      end
-      else ctx.result_buffer <- oid :: ctx.result_buffer
-    end
-  end
-[@@hf.requires_lock "locked"]
-
-(* Resolve one item against a destination whose store version has been
-   vouched for this query: prune and hit keep the item off the wire —
-   before its credit is ever split — and a miss lands in [acc] for
-   shipping. *)
-and resolve_item t ctx ~dst ~version wi acc =
-  let start = Hf_engine.Work_item.start wi in
-  let iters = Hf_engine.Work_item.iters wi in
-  let probes = Hf_index.Remote_cache.prune_probes ctx.plan ~start ~iters in
-  let pruned =
-    probes <> []
-    && (match Hashtbl.find_opt t.summaries dst with
-        | Some (v, summary) when v = version ->
-          Hf_index.Remote_cache.summary_misses summary probes
-        | Some _ | None -> false)
-  in
-  if pruned then begin
-    t.cache_prunes <- t.cache_prunes + 1;
-    acc
-  end
-  else
-    match t.cache with
-    | Some cache when Hf_index.Remote_cache.cacheable ctx.plan ~start ~iters -> (
-        let key =
-          Hf_index.Remote_cache.entry_key ~dst ~plan:ctx.plan ~start ~iters
-            ~oid:(Hf_engine.Work_item.oid wi)
-        in
-        match
-          Hf_index.Remote_cache.lookup cache ~now:(Unix.gettimeofday ()) ~key ~version
-        with
-        | Hf_index.Remote_cache.Hit passed ->
-          t.cache_hits <- t.cache_hits + 1;
-          apply_cached_verdict t ctx wi passed;
-          acc
-        | Hf_index.Remote_cache.Invalidated ->
-          t.cache_invalidations <- t.cache_invalidations + 1;
-          t.cache_misses <- t.cache_misses + 1;
-          wi :: acc
-        | Hf_index.Remote_cache.Absent ->
-          t.cache_misses <- t.cache_misses + 1;
-          wi :: acc)
-    | Some _ | None -> wi :: acc
-[@@hf.requires_lock "locked"]
-
 (* Un-park every item waiting on [dst].  [Some version]: resolve each
    against the vouched version.  [None] (the validation round trip gave
    up): ship them all the plain way.  Ends with the drain tail, which
    the [draining] guard suppresses when a give-up fired mid-drain. *)
 and release_parked t query ctx ~dst version =
-  Hashtbl.remove ctx.validating dst;
-  (match Hashtbl.find_opt ctx.parked dst with
-   | None -> ()
-   | Some waiting ->
-     Hashtbl.remove ctx.parked dst;
-     let items = List.rev waiting in
-     ctx.parked_count <- ctx.parked_count - List.length items;
-     let misses =
-       match version with
-       | None -> items
-       | Some version ->
-         List.rev
-           (List.fold_left (fun acc wi -> resolve_item t ctx ~dst ~version wi acc) [] items)
-     in
-     send_work_batch t query ctx ~dst misses);
+  let items = Site_core.unpark ctx.q ~dst ~version in
+  let misses =
+    match version with
+    | None -> items
+    | Some version ->
+      let now = Unix.gettimeofday () in
+      List.filter
+        (fun wi -> ships t (Site_core.resolve t.core ctx.q ~now ~can_serve:true ~dst ~version wi))
+        items
+  in
+  send_work_batch t query ctx ~dst misses;
   finish_drain t query ctx
 [@@hf.requires_lock "locked"]
 
-(* Route one remote-bound item: plain batcher push with caching off;
-   with it on, resolve against the validated version, or park behind a
-   Cache_validate round trip on first contact with the destination. *)
+(* Route one remote-bound item through the cache layer into the
+   per-destination batcher; on first contact with a destination the
+   item parks behind a Cache_validate round trip. *)
 and route_remote t query ctx ~out wi =
   let dst = locate (Hf_engine.Work_item.oid wi) in
-  let push wi =
-    ctx.out_pending <- ctx.out_pending + 1;
-    match Hf_proto.Batch.push out ~dst wi with
-    | None -> ()
-    | Some items ->
-      ctx.out_pending <- ctx.out_pending - List.length items;
-      send_work_batch t query ctx ~dst items
-  in
-  match t.cache with
-  | None -> push wi
-  | Some _ -> (
-      match Hashtbl.find_opt ctx.validated dst with
-      | Some version -> (
-          match resolve_item t ctx ~dst ~version wi [] with
-          | [] -> () (* pruned, or served from the cache *)
-          | misses -> List.iter push misses)
-      | None ->
-        let waiting =
-          match Hashtbl.find_opt ctx.parked dst with Some l -> l | None -> []
-        in
-        Hashtbl.replace ctx.parked dst (wi :: waiting);
-        ctx.parked_count <- ctx.parked_count + 1;
-        if not (Hashtbl.mem ctx.validating dst) then begin
-          Hashtbl.replace ctx.validating dst ();
-          t.cache_validations <- t.cache_validations + 1;
-          send t ~dst (Message.Cache_validate { query; src = t.id })
-        end)
+  match Site_core.route t.core ctx.q ~now:(Unix.gettimeofday ()) ~can_serve:true ~dst wi with
+  | Site_core.Parked { validate } ->
+    if validate then begin
+      t.cache_validations <- t.cache_validations + 1;
+      send t ~dst (Message.Cache_validate { query; src = t.id })
+    end
+  | verdict -> (
+      if ships t verdict then begin
+        ctx.out_pending <- ctx.out_pending + 1;
+        match Hf_proto.Batch.push out ~dst wi with
+        | None -> ()
+        | Some items ->
+          ctx.out_pending <- ctx.out_pending - List.length items;
+          send_work_batch t query ctx ~dst items
+      end)
 [@@hf.requires_lock "locked"]
 
 (* Ship a batch of work items to [dst], splitting the sender's credit
@@ -816,7 +693,7 @@ and send_work_batch t query ctx ~dst items =
   | items ->
     let keep, gave = Credit.split ctx.held in
     ctx.held <- keep;
-    let body = Hf_engine.Plan.program ctx.plan in
+    let body = Hf_engine.Plan.program ctx.q.plan in
     let credit = Credit.atoms gave in
     let span =
       Hf_obs.Tracer.start t.tracer ~parent:ctx.span
@@ -867,17 +744,7 @@ and send_work_batch t query ctx ~dst items =
    caller deposits whatever credit the gather carried, so the detector
    can never converge while stitched chains still owe work. *)
 and apply_scatter_outcome t query ctx (outcome : Hf_engine.Scatter.Stitch.outcome) =
-  List.iter
-    (fun oid ->
-      if not (Hf_data.Oid.Set.mem oid ctx.local_result_set) then begin
-        ctx.local_result_set <- Hf_data.Oid.Set.add oid ctx.local_result_set;
-        if not (Hf_data.Oid.Set.mem oid ctx.final_set) then begin
-          ctx.final_set <- Hf_data.Oid.Set.add oid ctx.final_set;
-          ctx.final_results <- oid :: ctx.final_results
-        end
-      end)
-    outcome.passed;
-  merge_bindings ctx.final_bindings outcome.bindings;
+  Site_core.apply_stitched ctx.q outcome;
   t.scatter_fallbacks <- t.scatter_fallbacks + List.length outcome.fallback;
   if outcome.fallback <> [] then begin
     let out = Hf_proto.Batch.create t.batch_policy in
@@ -899,18 +766,20 @@ and apply_scatter_outcome t query ctx (outcome : Hf_engine.Scatter.Stitch.outcom
    would see termination with work outstanding. *)
 and finish_drain t query ctx =
   if
-    ctx.draining = 0 && ctx.parked_count = 0 && ctx.out_pending = 0
+    ctx.draining = 0 && ctx.q.parked_count = 0 && ctx.out_pending = 0
     && Hf_util.Deque.is_empty ctx.work
-    && (match ctx.scatter with
+    && (match ctx.q.scatter with
         | None -> true
         | Some st -> Hf_engine.Scatter.Stitch.outstanding st = 0)
   then begin
     (* Opportunistic cache fill first: verdicts computed here flow to
        the originator's cache.  Credit-free — a drop costs future hits,
        never correctness. *)
-    (if t.id <> ctx.origin && ctx.answers <> [] then begin
+    (match Site_core.take_answers ctx.q with
+     | None -> ()
+     | Some (version, answers) ->
        let answers =
-         List.rev_map
+         List.map
            (fun (wi, passed) : Message.cache_answer ->
              {
                oid = Hf_engine.Work_item.oid wi;
@@ -918,16 +787,11 @@ and finish_drain t query ctx =
                iters = Hf_engine.Work_item.iters wi;
                passed;
              })
-           ctx.answers
+           answers
        in
-       let version = ctx.answers_version in
-       ctx.answers <- [];
-       send t ~dst:ctx.origin (Message.Cache_answers { query; src = t.id; version; answers })
-     end);
-    if t.id = ctx.origin then begin
-      merge_bindings ctx.final_bindings
-        (Hashtbl.fold (fun k v acc -> (k, v) :: acc) ctx.bindings []);
-      Hashtbl.reset ctx.bindings;
+       send t ~dst:ctx.q.origin (Message.Cache_answers { query; src = t.id; version; answers }));
+    if t.id = ctx.q.origin then begin
+      Site_core.flush_bindings ctx.q;
       if not (Credit.is_zero ctx.held) then begin
         let credit = ctx.held in
         ctx.held <- Credit.zero;
@@ -937,19 +801,16 @@ and finish_drain t query ctx =
     else begin
       let credit = ctx.held in
       ctx.held <- Credit.zero;
-      let items = List.rev ctx.result_buffer in
-      let bindings = Hashtbl.fold (fun k v acc -> (k, v) :: acc) ctx.bindings [] in
-      ctx.result_buffer <- [];
-      Hashtbl.reset ctx.bindings;
+      let items, bindings = Site_core.take_results ctx.q in
       if items <> [] || bindings <> [] then begin
         let span =
           Hf_obs.Tracer.start t.tracer ~parent:ctx.span
             ~query:(Fmt.str "%a" Message.pp_query_id query)
             ~site:t.id ~phase:Hf_obs.Span.Ship
-            (Fmt.str "result->%d" ctx.origin)
+            (Fmt.str "result->%d" ctx.q.origin)
         in
         Hf_obs.Tracer.set_detail t.tracer span (Fmt.str "%d item(s)" (List.length items));
-        send t ~span ~dst:ctx.origin
+        send t ~span ~dst:ctx.q.origin
           (Message.Result
              { query; payload = Message.Items items; bindings; credit = Credit.atoms credit })
       end
@@ -958,9 +819,9 @@ and finish_drain t query ctx =
           Hf_obs.Tracer.start t.tracer ~parent:ctx.span
             ~query:(Fmt.str "%a" Message.pp_query_id query)
             ~site:t.id ~phase:Hf_obs.Span.Credit
-            (Fmt.str "credit->%d" ctx.origin)
+            (Fmt.str "credit->%d" ctx.q.origin)
         in
-        send t ~span ~dst:ctx.origin
+        send t ~span ~dst:ctx.q.origin
           (Message.Credit_return { query; credit = Credit.atoms credit })
       end
     end
@@ -984,15 +845,9 @@ and drain_slice t query ctx ~out ~budget =
       match Hf_util.Deque.pop_front ctx.work with
       | None -> false
       | Some item ->
-        let emit ~target values =
-          let existing =
-            match Hashtbl.find_opt ctx.bindings target with None -> [] | Some v -> v
-          in
-          Hashtbl.replace ctx.bindings target (existing @ values)
-        in
         let { Hf_engine.Eval.spawned; passed; skipped } =
-          Hf_engine.Eval.run_object ~plan:ctx.plan ~find:(Hf_data.Store.find t.store)
-            ~marks:ctx.marks ~stats:ctx.stats ~emit item
+          Hf_engine.Eval.run_object ~plan:ctx.q.plan ~find:(Hf_data.Store.find t.store)
+            ~marks:ctx.marks ~stats:ctx.stats ~emit:(Site_core.emit ctx.q) item
         in
         List.iter
           (fun wi ->
@@ -1001,33 +856,9 @@ and drain_slice t query ctx ~out ~budget =
             else route_remote t query ctx ~out wi)
           spawned;
         (* Record the verdict for the originator's cache: items that ran
-           for real (not mark-skipped) at a non-origin site, whose
-           reachable suffix is store-state-only (cacheable). *)
-        (if
-           Option.is_some t.cache
-           && (not skipped)
-           && t.id <> ctx.origin
-           && Hf_index.Remote_cache.cacheable ctx.plan
-                ~start:(Hf_engine.Work_item.start item)
-                ~iters:(Hf_engine.Work_item.iters item)
-         then begin
-           let v = Hf_data.Store.version t.store in
-           if ctx.answers <> [] && ctx.answers_version <> v then ctx.answers <- [];
-           ctx.answers_version <- v;
-           ctx.answers <- (item, passed) :: ctx.answers
-         end);
-        (if passed then
-           let oid = Hf_engine.Work_item.oid item in
-           if not (Hf_data.Oid.Set.mem oid ctx.local_result_set) then begin
-             ctx.local_result_set <- Hf_data.Oid.Set.add oid ctx.local_result_set;
-             if t.id = ctx.origin then begin
-               if not (Hf_data.Oid.Set.mem oid ctx.final_set) then begin
-                 ctx.final_set <- Hf_data.Oid.Set.add oid ctx.final_set;
-                 ctx.final_results <- oid :: ctx.final_results
-               end
-             end
-             else ctx.result_buffer <- oid :: ctx.result_buffer
-           end);
+           for real (not mark-skipped). *)
+        if not skipped then Site_core.record_answer t.core ctx.q t.store item ~passed;
+        if passed then Site_core.add_result ctx.q (Hf_engine.Work_item.oid item);
         step (n - 1)
   in
   step budget
@@ -1095,7 +926,7 @@ let process_to_drain ?(seeds = []) t query ctx =
       ctx.draining <- ctx.draining + 1;
       List.iter
         (fun oid ->
-          let wi = Hf_engine.Work_item.initial ctx.plan oid in
+          let wi = Hf_engine.Work_item.initial ctx.q.plan oid in
           if locate oid = t.id then Hf_util.Deque.push_back ctx.work wi
           else route_remote t query ctx ~out wi)
         seeds);
@@ -1123,27 +954,6 @@ let process_to_drain ?(seeds = []) t query ctx =
 
 (* --- the execution-mode planner (doc/execution_modes.md) --- *)
 
-(* Locality signal: the fraction of this store's pointer tuples whose
-   target lives on-site, memoized per store version. *)
-let p_local_of t =
-  let version = Hf_data.Store.version t.store in
-  match t.locality_memo with
-  | Some (v, p) when v = version -> p
-  | Some _ | None ->
-    let total = ref 0 and local = ref 0 in
-    Hf_data.Store.iter t.store (fun obj ->
-        List.iter
-          (fun target ->
-            incr total;
-            if locate target = t.id then incr local)
-          (Hf_data.Hobject.pointers obj));
-    let p =
-      if !total = 0 then 1.0 else float_of_int !local /. float_of_int !total
-    in
-    t.locality_memo <- Some (version, p);
-    p
-[@@hf.requires_lock "locked"]
-
 (* Price both modes from what this site can see without going to the
    wire: seed placement from oid birth sites, per-peer hints from the
    Bloom summaries learned via [Cache_version] replies (the
@@ -1153,99 +963,27 @@ let p_local_of t =
    node — so the crossover lands where rounds, not bytes, dominate,
    matching the simulator's calibrated model. *)
 let plan_decision t program initial =
-  let plan = Hf_engine.Plan.make program in
-  let zeros = Array.make (Hf_engine.Plan.iter_count plan) 0 in
-  let landing = Hf_query.Plan.landing_pcs program in
-  let seed_sites =
-    List.fold_left
-      (fun acc oid ->
-        let s = locate oid in
-        match List.assoc_opt s acc with
-        | Some n -> (s, n + 1) :: List.remove_assoc s acc
-        | None -> (s, 1) :: acc)
-      [] initial
+  let peers =
+    List.filter_map
+      (fun peer ->
+        if peer = t.id then None
+        else
+          let summary = Option.map snd (Site_core.learned t.core ~peer) in
+          Some (peer, (Option.map Hf_index.Bloom.estimate_entries summary, summary)))
+      (List.init (Array.length t.peers) Fun.id)
   in
-  let landing_groups =
-    List.map
-      (fun pc -> Hf_index.Remote_cache.prune_probes plan ~start:pc ~iters:zeros)
-      landing
-  in
-  let start_probes = Hf_index.Remote_cache.prune_probes plan ~start:0 ~iters:zeros in
-  let flat_may bloom =
-    landing_groups = []
-    || List.exists
-         (fun probes ->
-           probes = [] || not (Hf_index.Remote_cache.summary_misses bloom probes))
-         landing_groups
-  in
-  (* One Bloofi descent replaces the flat per-peer landing probes when
-     the tree is on and holds anything; leaves are the same learned
-     filters, so the verdicts are identical — only the probe cost (and
-     the [decision.index] stats) differ. *)
-  let index_probe =
-    match t.bloofi with
-    | None -> None
-    | Some tree when Hf_index.Bloofi.cardinal tree = 0 -> None
-    | Some tree ->
-      let r = Hf_index.Bloofi.probe tree landing_groups in
-      Hf_obs.Histogram.observe t.bloofi_depth (float_of_int r.depth);
-      let may = Hashtbl.create 16 in
-      List.iter (fun s -> Hashtbl.replace may s ()) r.sites;
-      let stats =
-        {
-          Hf_query.Plan.indexed = Hf_index.Bloofi.cardinal tree;
-          touched = r.touched;
-          depth = r.depth;
-          pruned = Hf_index.Bloofi.cardinal tree - List.length r.sites;
-        }
-      in
-      Some (tree, may, stats)
-  in
-  let hints = ref [] in
-  Array.iteri
-    (fun peer _ ->
-      if peer <> t.id then begin
-        let hint =
-          match Hashtbl.find_opt t.summaries peer with
-          | None ->
-            { Hf_query.Plan.site = peer; objects = None; may_match = None;
-              seed_may_match = None }
-          | Some (_, bloom) ->
-            let may_match =
-              match index_probe with
-              | Some (tree, may, _) when Hf_index.Bloofi.mem tree ~site:peer ->
-                Hashtbl.mem may peer
-              | Some _ | None -> flat_may bloom
-            in
-            let seed_may_match =
-              start_probes = []
-              || not (Hf_index.Remote_cache.summary_misses bloom start_probes)
-            in
-            {
-              Hf_query.Plan.site = peer;
-              objects = Some (Hf_index.Bloom.estimate_entries bloom);
-              may_match = Some may_match;
-              seed_may_match = Some seed_may_match;
-            }
-        in
-        hints := hint :: !hints
-      end)
-    t.peers;
-  let item_bytes = 13 + 4 + (4 * Hf_engine.Plan.iter_count plan) in
-  let costs =
-    {
-      Hf_query.Plan.transit = 5e-4;
-      header_bytes = 32;
-      item_bytes;
-      node_bytes = 32;
-      eval_s = 2e-6;
-      byte_s = 1e-8;
-      p_local = p_local_of t;
-    }
-  in
-  Hf_query.Plan.decide ~program ~origin:t.id ~seed_sites ~hints:(List.rev !hints)
-    ?index:(Option.map (fun (_, _, stats) -> stats) index_probe)
-    ~costs ()
+  Site_core.plan_decision t.core ~locate ~store:t.store ~peers
+    ~costs:(fun ~item_bytes ~p_local ->
+      {
+        Hf_query.Plan.transit = 5e-4;
+        header_bytes = 32;
+        item_bytes;
+        node_bytes = 32;
+        eval_s = 2e-6;
+        byte_s = 1e-8;
+        p_local;
+      })
+    program initial
 [@@hf.requires_lock "locked"]
 
 (* The planner's verdict for a query, without running it — [hfql :plan]
@@ -1260,30 +998,8 @@ let explain t program initial = locked t (fun () -> plan_decision t program init
    home while stitched chains may still become fallback work. *)
 let scatter_seed t query ctx ~sites initial =
   locked t (fun () ->
-      let member = Hashtbl.create 8 in
-      List.iter (fun s -> Hashtbl.replace member s ()) (t.id :: sites);
-      let roots = Hashtbl.create 8 in
-      let stray = ref [] in
-      List.iter
-        (fun oid ->
-          let s = locate oid in
-          if Hashtbl.mem member s then
-            Hashtbl.replace roots s
-              (oid
-              ::
-              (match Hashtbl.find_opt roots s with Some l -> l | None -> []))
-          else stray := oid :: !stray)
-        initial;
-      let roots_of s =
-        match Hashtbl.find_opt roots s with Some l -> List.rev l | None -> []
-      in
-      let stitch =
-        Hf_engine.Scatter.Stitch.create ~plan:ctx.plan ~locate
-          ~sites:(t.id :: sites)
-          ~roots:(List.map (fun s -> (s, roots_of s)) (t.id :: sites))
-      in
-      ctx.scatter <- Some stitch;
-      let body = Hf_engine.Plan.program ctx.plan in
+      let roots_of, stray = Site_core.scatter_seed ctx.q ~locate ~sites initial in
+      let body = Hf_engine.Plan.program ctx.q.plan in
       List.iter
         (fun dst ->
           let keep, gave = Credit.split ctx.held in
@@ -1302,22 +1018,21 @@ let scatter_seed t query ctx ~sites initial =
                { query; body; roots = roots_of dst; credit = Credit.atoms gave }))
         sites;
       let nodes =
-        Hf_engine.Scatter.eval_site ~plan:ctx.plan
+        Hf_engine.Scatter.eval_site ~plan:ctx.q.plan
           ~find:(Hf_data.Store.find t.store)
           ~oids:(Hf_data.Store.oids t.store) ~roots:(roots_of t.id)
           ~stats:ctx.stats
       in
-      let outcome = Hf_engine.Scatter.Stitch.add_gather stitch ~site:t.id nodes in
-      apply_scatter_outcome t query ctx outcome;
+      apply_scatter_outcome t query ctx (Site_core.gather ctx.q ~site:t.id nodes);
       (* Stray seeds — oids located outside origin ∪ predicted, possible
          only if prediction raced a relocation — ship classically, same
          contract as an escaped chain. *)
-      (if !stray <> [] then begin
+      (if stray <> [] then begin
          let out = Hf_proto.Batch.create t.batch_policy in
          List.iter
            (fun oid ->
-             route_remote t query ctx ~out (Hf_engine.Work_item.initial ctx.plan oid))
-           (List.rev !stray);
+             route_remote t query ctx ~out (Hf_engine.Work_item.initial ctx.q.plan oid))
+           stray;
          List.iter
            (fun (dst, items) ->
              ctx.out_pending <- ctx.out_pending - List.length items;
@@ -1419,17 +1134,13 @@ let handle_message t ?(span = 0) ?rel message =
         (match Hashtbl.find_opt t.contexts query with
          | None -> () (* unknown/forgotten/closed query *)
          | Some ctx ->
-           (match payload with
-            | Message.Items items ->
-              List.iter
-                (fun oid ->
-                  if not (Hf_data.Oid.Set.mem oid ctx.final_set) then begin
-                    ctx.final_set <- Hf_data.Oid.Set.add oid ctx.final_set;
-                    ctx.final_results <- oid :: ctx.final_results
-                  end)
-                items
-            | Message.Count _ -> ());
-           merge_bindings ctx.final_bindings bindings;
+           Option.iter
+             (fun final ->
+               (match payload with
+                | Message.Items items -> List.iter (Site_core.add_final final) items
+                | Message.Count _ -> ());
+               Site_core.add_bindings final bindings)
+             ctx.q.final;
            credit_recovered t query ctx (Credit.of_atoms credit));
         []
       | Message.Credit_return { query; credit } ->
@@ -1446,90 +1157,42 @@ let handle_message t ?(span = 0) ?rel message =
       | Message.Cache_validate { query; src = peer } ->
         (* Report our store version; piggyback the Bloom summary unless
            this peer was already told this version's. *)
-        let version = Hf_data.Store.version t.store in
-        let summary =
-          match t.cache_config with
-          | None -> None (* not participating: version-only reply *)
-          | Some cfg ->
-            let bloom =
-              match t.summary_memo with
-              | Some (v, bloom) when v = version -> bloom
-              | Some _ | None ->
-                let bloom = Hf_index.Remote_cache.summary_of_store cfg t.store in
-                t.summary_memo <- Some (version, bloom);
-                t.summary_epoch <- t.summary_epoch + 1;
-                bloom
-            in
-            if
-              match Hashtbl.find_opt t.summary_told peer with
-              | Some v -> v = version
-              | None -> false
-            then None
-            else begin
-              Hashtbl.replace t.summary_told peer version;
-              Some (Hf_index.Bloom.to_string bloom)
-            end
-        in
+        let version, summary = Site_core.answer_validate t.core t.store ~peer in
         send t ~dst:peer
           (Message.Cache_version
-             { query; site = t.id; version; epoch = t.summary_epoch; summary });
+             {
+               query;
+               site = t.id;
+               version;
+               epoch = Site_core.epoch t.core;
+               summary = Option.map Hf_index.Bloom.to_string summary;
+             });
         []
       | Message.Cache_version { query; site = peer; version; epoch; summary } ->
-        (* An epoch regression means the peer restarted: its old
-           lineage's summary (and Bloofi leaf) must go wholesale —
-           keeping either could wrongly prune against the new store.
-           Cached per-object verdicts are keyed by store version only,
-           and the new lineage's version can collide with the old
-           one's, so they go too. *)
-        (match Hashtbl.find_opt t.peer_epochs peer with
-         | Some e when epoch < e ->
-           Hashtbl.remove t.summaries peer;
-           Option.iter (fun tree -> Hf_index.Bloofi.remove tree ~site:peer) t.bloofi;
-           Option.iter
-             (fun cache -> Hf_index.Remote_cache.drop_dst cache ~dst:peer)
-             t.cache
-         | Some _ | None -> ());
-        Hashtbl.replace t.peer_epochs peer epoch;
-        (match summary with
-         | Some raw -> (
-             match Hf_index.Bloom.of_string raw with
-             | Some bloom ->
-               Hashtbl.replace t.summaries peer (version, bloom);
-               Option.iter
-                 (fun tree -> Hf_index.Bloofi.insert tree ~site:peer bloom)
-                 t.bloofi
-             | None -> () (* malformed summary: no pruning, still correct *))
-         | None -> (
-             (* No summary aboard means "you already have it"; if ours
-                is for another version, drop it — a stale summary must
-                never prune at the new version. *)
-             match Hashtbl.find_opt t.summaries peer with
-             | Some (v, _) when v <> version ->
-               Hashtbl.remove t.summaries peer;
-               Option.iter (fun tree -> Hf_index.Bloofi.remove tree ~site:peer) t.bloofi
-             | Some _ | None -> ()));
+        (* A summary that does not decode is treated like none at all:
+           no pruning against it, and a held one for another version is
+           dropped. *)
+        Site_core.learn t.core ~peer ~version ~epoch
+          (Option.bind summary Hf_index.Bloom.of_string);
         (match Hashtbl.find_opt t.contexts query with
          | None -> ()
-         | Some ctx ->
-           Hashtbl.replace ctx.validated peer version;
-           release_parked t query ctx ~dst:peer (Some version));
+         | Some ctx -> release_parked t query ctx ~dst:peer (Some version));
         []
       | Message.Cache_answers { query; src = peer; version; answers } ->
         (* Opportunistic fill at the originator: install the remote's
            verdicts, keyed by the answering site. *)
-        (match (t.cache, Hashtbl.find_opt t.contexts query) with
-         | Some cache, Some ctx ->
-           t.cache_fills <- t.cache_fills + List.length answers;
-           List.iter
-             (fun ({ oid; start; iters; passed } : Message.cache_answer) ->
-               let key =
-                 Hf_index.Remote_cache.entry_key ~dst:peer ~plan:ctx.plan ~start ~iters
-                   ~oid
-               in
-               Hf_index.Remote_cache.put cache ~now:(Unix.gettimeofday ()) ~key ~version
-                 ~passed)
-             answers
-         | (Some _ | None), _ -> ());
+        (match Hashtbl.find_opt t.contexts query with
+         | None -> ()
+         | Some ctx ->
+           let answers =
+             List.map
+               (fun ({ oid; start; iters; passed } : Message.cache_answer) ->
+                 (Hf_engine.Work_item.make ~oid ~start ~iters, passed))
+               answers
+           in
+           t.cache_fills <-
+             t.cache_fills
+             + Site_core.fill t.core ctx.q ~now:(Unix.gettimeofday ()) ~peer ~version answers);
         []
       | Message.Query_done { query; _ } ->
         (* The originator closed the query (terminated or cancelled):
@@ -1537,7 +1200,7 @@ let handle_message t ?(span = 0) ?rel message =
            site is never evicted here — only the local handle closes
            those. *)
         (match Hashtbl.find_opt t.contexts query with
-         | Some ctx when ctx.origin <> t.id -> evict_context t query ctx
+         | Some ctx when ctx.q.origin <> t.id -> evict_context t query ctx
          | Some _ -> ()
          | None -> mark_closed t query);
         []
@@ -1575,7 +1238,7 @@ let handle_message t ?(span = 0) ?rel message =
              for this query (a fallback chain re-entering this site)
              keeps its own credit and drains through the normal tail. *)
           let engine_nodes =
-            Hf_engine.Scatter.eval_site ~plan:ctx.plan
+            Hf_engine.Scatter.eval_site ~plan:ctx.q.plan
               ~find:(Hf_data.Store.find t.store)
               ~oids:(Hf_data.Store.oids t.store) ~roots ~stats:ctx.stats
           in
@@ -1596,11 +1259,11 @@ let handle_message t ?(span = 0) ?rel message =
             Hf_obs.Tracer.start t.tracer ~parent:ctx.span
               ~query:(Fmt.str "%a" Message.pp_query_id query)
               ~site:t.id ~phase:Hf_obs.Span.Scatter
-              (Fmt.str "gather->%d" ctx.origin)
+              (Fmt.str "gather->%d" ctx.q.origin)
           in
           Hf_obs.Tracer.set_detail t.tracer gspan
             (Fmt.str "%d node(s)" (List.length nodes));
-          send t ~span:gspan ~dst:ctx.origin
+          send t ~span:gspan ~dst:ctx.q.origin
             (Message.Gather_result
                { query; src = t.id; nodes; credit = Credit.atoms gave });
           []
@@ -1611,28 +1274,22 @@ let handle_message t ?(span = 0) ?rel message =
          | Some ctx ->
            t.gather_messages <- t.gather_messages + 1;
            t.gather_nodes <- t.gather_nodes + List.length nodes;
-           (match ctx.scatter with
-            | None -> ()
-            | Some st ->
-              let engine_nodes =
-                List.map
-                  (fun (n : Message.gather_node) ->
-                    {
-                      Hf_engine.Scatter.oid = n.oid;
-                      start = n.start;
-                      passed = n.passed;
-                      visited = n.visited;
-                      spawns = n.spawns;
-                      bindings = n.bindings;
-                    })
-                  nodes
-              in
-              let outcome =
-                Hf_engine.Scatter.Stitch.add_gather st ~site:peer engine_nodes
-              in
-              (* fallback credit splits happen inside, BEFORE the
-                 gather's credit is deposited below *)
-              apply_scatter_outcome t query ctx outcome);
+           let engine_nodes =
+             List.map
+               (fun (n : Message.gather_node) ->
+                 {
+                   Hf_engine.Scatter.oid = n.oid;
+                   start = n.start;
+                   passed = n.passed;
+                   visited = n.visited;
+                   spawns = n.spawns;
+                   bindings = n.bindings;
+                 })
+               nodes
+           in
+           (* fallback credit splits happen inside, BEFORE the gather's
+              credit is deposited below *)
+           apply_scatter_outcome t query ctx (Site_core.gather ctx.q ~site:peer engine_nodes);
            credit_recovered t query ctx (Credit.of_atoms credit);
            (match Hashtbl.find_opt t.contexts query with
             | None -> () (* the deposit terminated and evicted the query *)
@@ -1704,7 +1361,7 @@ let accept_loop t () =
     match Unix.accept t.listener with
     | fd, _ ->
       Unix.setsockopt fd TCP_NODELAY true;
-      locked t (fun () -> t.threads <- Thread.create (reader_loop t fd) () :: t.threads);
+      ignore (Thread.create (reader_loop t fd) ());
       loop ()
     | exception Unix.Unix_error _ -> () (* listener closed: shutting down *)
   in
@@ -1755,7 +1412,6 @@ let create ~site ?(batch = Hf_proto.Batch.unbatched) ?reliability ?cache
       closed_order = Queue.create ();
       running = true;
       ticker = None;
-      threads = [];
       dead_writers = [];
       join_errors = Atomic.make 0;
       tracer;
@@ -1770,15 +1426,7 @@ let create ~site ?(batch = Hf_proto.Batch.unbatched) ?reliability ?cache
       dup_drops = 0;
       acks_sent = 0;
       give_ups = 0;
-      cache_config = cache;
-      cache = Option.map Hf_index.Remote_cache.create cache;
-      summary_memo = None;
-      summary_told = Hashtbl.create 4;
-      summaries = Hashtbl.create 4;
-      summary_epoch = 0;
-      peer_epochs = Hashtbl.create 4;
-      bloofi = (if bloofi then Some (Hf_index.Bloofi.create ()) else None);
-      bloofi_depth;
+      core = Site_core.create ~self:site ~cache ~bloofi ~bloofi_depth;
       cache_hits = 0;
       cache_misses = 0;
       cache_prunes = 0;
@@ -1792,7 +1440,6 @@ let create ~site ?(batch = Hf_proto.Batch.unbatched) ?reliability ?cache
       scatter_fallbacks = 0;
       planner_scatter = 0;
       planner_ship = 0;
-      locality_memo = None;
       stats_token = 0;
       peer_stats = Hashtbl.create 8;
       peer_stats_token = Hashtbl.create 8;
@@ -1844,20 +1491,11 @@ let create ~site ?(batch = Hf_proto.Batch.unbatched) ?reliability ?cache
   Hf_obs.Registry.register_counter registry "hf.net.planner_ship" (fun () ->
       locked t (fun () -> t.planner_ship));
   Hf_obs.Registry.register_counter registry "hf.index.bloofi_probes" (fun () ->
-      locked t (fun () ->
-          match t.bloofi with
-          | None -> 0
-          | Some tree -> Hf_index.Bloofi.probes_run tree));
+      locked t (fun () -> Site_core.bloofi_count Hf_index.Bloofi.probes_run t.core));
   Hf_obs.Registry.register_counter registry "hf.index.bloofi_pruned_sites" (fun () ->
-      locked t (fun () ->
-          match t.bloofi with
-          | None -> 0
-          | Some tree -> Hf_index.Bloofi.pruned_total tree));
+      locked t (fun () -> Site_core.bloofi_count Hf_index.Bloofi.pruned_total t.core));
   Hf_obs.Registry.register_counter registry "hf.index.bloofi_rebuilds" (fun () ->
-      locked t (fun () ->
-          match t.bloofi with
-          | None -> 0
-          | Some tree -> Hf_index.Bloofi.rebuilds tree));
+      locked t (fun () -> Site_core.bloofi_count Hf_index.Bloofi.rebuilds t.core));
   Hf_obs.Registry.register_counter registry "hf.net.queries_running" (fun () ->
       locked t (fun () -> Sched.running t.gate));
   Hf_obs.Registry.register_counter registry "hf.net.queries_queued" (fun () ->
@@ -1883,18 +1521,15 @@ let create ~site ?(batch = Hf_proto.Batch.unbatched) ?reliability ?cache
   Hf_obs.Registry.register_gauge registry "hf.net.sched_tenants" (fun () ->
       locked t (fun () -> float_of_int (Sched.waiting_tenants t.gate)));
   Hf_obs.Registry.register_gauge registry "hf.net.cache_entries" (fun () ->
-      locked t (fun () ->
-          match t.cache with
-          | None -> 0.0
-          | Some cache -> float_of_int (Hf_index.Remote_cache.length cache)));
+      locked t (fun () -> float_of_int (Site_core.cache_entries t.core)));
   Hf_obs.Tracer.register tracer registry ~prefix:"hf.net";
-  (* Cons, not assign: the accept loop may already have registered a
-     reader thread by the time this runs. *)
-  locked t (fun () -> t.threads <- Thread.create (accept_loop t) () :: t.threads);
+  (* The accept, reader, monitor and drainer threads run detached: each
+     ends on its own once its socket closes or its query drains. *)
+  ignore (Thread.create (accept_loop t) ());
   (* Reliability ticker: drives the retransmit / delayed-ack / give-up
-     deadlines of every peer link.  Kept out of the anonymous [threads]
-     list so [shutdown] can join it FIRST — it transmits on the
-     outbound connections, which must not be torn down under it. *)
+     deadlines of every peer link.  Kept joinable so [shutdown] can join
+     it FIRST — it transmits on the outbound connections, which must
+     not be torn down under it. *)
   (match reliability with
    | None -> ()
    | Some cfg ->
@@ -1964,7 +1599,7 @@ let create ~site ?(batch = Hf_proto.Batch.unbatched) ?reliability ?cache
        in
        loop ()
      in
-     locked t (fun () -> t.threads <- Thread.create monitor_loop () :: t.threads));
+     ignore (Thread.create monitor_loop ()));
   t
 
 let address t = t.address
@@ -2109,27 +1744,10 @@ let submit_query (t : t) program initial =
          byte-identical legacy path — no planner runs at all.  This
          engine is always per-site-marks, ship-items, so eligibility
          plus a non-empty predicted set is all scatter needs. *)
-      let decision =
-        match t.exec with
-        | Exec_ship -> None
-        | Exec_scatter | Exec_auto -> Some (plan_decision t program initial)
+      let decision, scatter_sites =
+        Site_core.choose t.exec ~can_scatter:true (fun () -> plan_decision t program initial)
       in
       ctx.decision <- decision;
-      let scatter_sites =
-        match (t.exec, decision) with
-        | Exec_ship, _ | _, None -> None
-        | Exec_scatter, Some d ->
-          if d.Hf_query.Plan.eligible && d.Hf_query.Plan.predicted <> [] then
-            Some d.Hf_query.Plan.predicted
-          else None
-        | Exec_auto, Some d ->
-          if
-            d.Hf_query.Plan.eligible
-            && d.Hf_query.Plan.predicted <> []
-            && Hf_query.Plan.equal_mode d.Hf_query.Plan.chosen Hf_query.Plan.Scatter
-          then Some d.Hf_query.Plan.predicted
-          else None
-      in
       (match decision with
        | None -> ()
        | Some _ ->
@@ -2156,15 +1774,11 @@ let submit_query (t : t) program initial =
              ~query:(Fmt.str "%a" Message.pp_query_id query)
              ~site:t.id ~phase:Hf_obs.Span.Wait ~start:(trace_now -. wait)
              ~finish:trace_now "admission-wait");
-        let drainer =
-          match scatter_sites with
-          | Some sites ->
-            ctx.ran_mode <- Hf_query.Plan.Scatter;
-            Thread.create (fun () -> scatter_seed t query ctx ~sites initial) ()
-          | None ->
-            Thread.create (fun () -> process_to_drain ~seeds:initial t query ctx) ()
-        in
-        t.threads <- drainer :: t.threads
+        match scatter_sites with
+        | Some sites ->
+          ctx.ran_mode <- Hf_query.Plan.Scatter;
+          ignore (Thread.create (fun () -> scatter_seed t query ctx ~sites initial) ())
+        | None -> ignore (Thread.create (fun () -> process_to_drain ~seeds:initial t query ctx) ())
       in
       (match Sched.admit t.gate ~tenant:t.id { p_query = query; p_seed = seed } with
        | Sched.Run -> seed ()
@@ -2209,13 +1823,15 @@ let await ?(timeout = 10.0) (t : t) (handle : handle) =
           else if ctx.unreachable = [] then Complete
           else Partial (List.sort_uniq compare ctx.unreachable)
         in
+        (* a locally-issued query's context always holds the final answer *)
+        let final = Option.get ctx.q.final in
         {
-          results = List.rev ctx.final_results;
-          result_set = ctx.final_set;
+          results = List.rev final.oids;
+          result_set = final.set;
           bindings =
             Hashtbl.fold
               (fun target values acc -> (target, values) :: acc)
-              ctx.final_bindings []
+              final.merged []
             |> List.sort (fun (a, _) (b, _) -> String.compare a b);
           terminated = ctx.terminated;
           status;

@@ -19,14 +19,8 @@
 
 type t
 
-type exec_mode =
-  | Exec_ship  (** classic query shipping only; no planner runs. *)
-  | Exec_scatter
-      (** scatter-gather whenever the program is eligible (no [.\[n\]]
-          finite iterators) and some site is predicted. *)
-  | Exec_auto
-      (** per-query cost-based choice ({!Hf_query.Plan}); see
-          doc/execution_modes.md. *)
+type exec_mode = Hf_server.Site_core.exec_mode = Exec_ship | Exec_scatter | Exec_auto
+(** See {!Hf_server.Site_core.exec_mode}. *)
 
 val create :
   site:int ->

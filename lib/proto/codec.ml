@@ -80,9 +80,16 @@ let read_varint r =
 
 let read_int r = unzigzag (read_uint r)
 
+(* A length or count read off the wire: every encoded byte or item
+   takes at least one byte, so anything past the input's end is
+   garbage — rejected before it sizes an allocation. *)
+let read_count r =
+  let n = read_varint r in
+  if n > String.length r.data - r.pos then fail "length %d past end of input at offset %d" n r.pos;
+  n
+
 let read_string r =
-  let len = read_varint r in
-  if r.pos + len > String.length r.data then fail "truncated string at offset %d" r.pos;
+  let len = read_count r in
   let s = String.sub r.data r.pos len in
   r.pos <- r.pos + len;
   s
@@ -95,7 +102,7 @@ let read_float r =
   Int64.float_of_bits !bits
 
 let read_list r read_item =
-  let n = read_varint r in
+  let n = read_count r in
   List.init n (fun _ -> read_item r)
 
 let at_end r = r.pos = String.length r.data
@@ -300,7 +307,7 @@ let write_iters buf iters =
   Array.iter (write_varint buf) iters
 
 let read_iters r =
-  let n = read_varint r in
+  let n = read_count r in
   Array.init n (fun _ -> read_varint r)
 
 let write_binding buf (target, values) =

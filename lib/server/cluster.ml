@@ -45,15 +45,7 @@ type mark_scope =
   | Local_marks (* the paper's choice: per-site tables, duplicate messages possible *)
   | Global_marks (* ablation: an oracle global table suppresses duplicate sends *)
 
-type exec_mode =
-  | Exec_ship (* the paper's protocol: work items follow the pointer chain *)
-  | Exec_scatter
-      (* force single-round scatter-gather whenever the program is
-         eligible (no finite iterators); ineligible queries ship *)
-  | Exec_auto
-      (* cost-based: [Hf_query.Plan.decide] picks the cheaper mode per
-         query from seed placement, learned Bloom summaries and the
-         origin store's locality (doc/execution_modes.md) *)
+type exec_mode = Site_core.exec_mode = Exec_ship | Exec_scatter | Exec_auto
 
 type config = {
   costs : Hf_sim.Costs.t;
@@ -146,8 +138,7 @@ module Make (D : Hf_termination.Detector.S) = struct
 
   type context = {
     query : Hf_proto.Message.query_id;
-    plan : Hf_engine.Plan.t;
-    origin : int;
+    q : Site_core.query; (* the shared per-query decision state *)
     span : int;
         (* this site's evaluation span for the query; parented on the
            work message that first reached the site (or the query root
@@ -156,27 +147,7 @@ module Make (D : Hf_termination.Detector.S) = struct
     work : (Hf_engine.Work_item.t * work_source) Hf_util.Deque.t;
     detector : D.t;
     stats : Hf_engine.Stats.t;
-    bindings : (string, Hf_data.Value.t list) Hashtbl.t; (* emission buffer *)
-    mutable result_buffer : Oid.t list; (* pending shipment, newest first *)
-    mutable local_result_set : Oid.Set.t; (* all results found at this site *)
     mutable in_flight : int; (* items popped from W whose task has not completed *)
-    (* Cache layer (config.cache): per-destination validation state.
-       Items headed for an unvalidated destination wait in [parked] —
-       their credit unsplit, so [parked_count] must hold the drain
-       condition open — until a [Cache_version] reply (or a give-up)
-       resolves them. *)
-    validated : (int, int) Hashtbl.t; (* dst -> store version vouched this query *)
-    validating : (int, unit) Hashtbl.t; (* dst with a Cache_validate in flight *)
-    parked : (int, Hf_engine.Work_item.t list) Hashtbl.t; (* dst -> items, newest first *)
-    mutable parked_count : int;
-    mutable answers : (Hf_engine.Work_item.t * bool) list;
-        (* cacheable verdicts computed here for the originator's cache,
-           newest first; flushed (credit-free) at drain *)
-    mutable answers_version : int; (* store version the answers were computed at *)
-    mutable scatter : Hf_engine.Scatter.Stitch.t option;
-        (* scatter-gather merge state; [Some _] only at the originator
-           of a query running in scatter mode.  The drain condition
-           stays open while gathers are outstanding. *)
   }
 
   type open_query = {
@@ -185,9 +156,7 @@ module Make (D : Hf_termination.Detector.S) = struct
     start_time : float;
     span : int; (* root span: submit to detected termination *)
     metrics : Metrics.t;
-    mutable final_results : Oid.t list; (* newest first *)
-    mutable final_set : Oid.Set.t;
-    final_bindings : (string, Hf_data.Value.t list) Hashtbl.t;
+    final : Site_core.results;
     mutable counts : (int * int) list;
     mutable terminated : bool;
     mutable unreachable_sites : int list;
@@ -334,35 +303,10 @@ module Make (D : Hf_termination.Detector.S) = struct
     links : link array;
         (* per-peer reliable-delivery state (index = peer site id);
            dormant unless [config.reliability] is set *)
-    cache : Hf_index.Remote_cache.t option;
-        (* remote-answer cache ([Some _] iff [config.cache] is set);
-           filled only at query originators, consulted on every ship *)
-    mutable summary_memo : (int * Hf_index.Bloom.t) option;
-        (* this site's own Bloom tuple summary, memoized per store
-           version; rebuilt lazily when a Cache_validate arrives after
-           a version bump *)
-    summary_told : (int, int) Hashtbl.t;
-        (* peer -> store version whose summary we last sent them, so
-           repeat validations skip the summary bytes *)
-    summaries : (int, int * Hf_index.Bloom.t) Hashtbl.t;
-        (* peer -> (version, summary) learned from Cache_version
-           replies; prune checks require the validated version *)
-    mutable summary_epoch : int;
-        (* monotonic count of summary recomputes at this site; rides
-           every Cache_version reply so receivers can spot a restarted
-           lineage (an epoch regression) and drop what they learned *)
-    peer_epochs : (int, int) Hashtbl.t;
-        (* peer -> last summary epoch seen from it *)
-    bloofi : Hf_index.Bloofi.t;
-        (* this origin's Bloofi tree over peer summaries (config.bloofi);
-           leaves track [summaries] plus the lazy [summary_for] fallback *)
-    bloofi_src : (int, Hf_index.Bloom.t) Hashtbl.t;
-        (* peer -> the exact filter currently installed as its leaf, so
-           maintenance can skip physically-unchanged summaries *)
-    mutable locality_memo : (int * float) option;
-        (* (store version, fraction of this store's pointer tuples that
-           stay on-site) — the planner's honest locality signal,
-           rebuilt lazily on version bumps *)
+    core : Site_core.t;
+        (* remote-answer cache, own and learned summaries, Bloofi tree,
+           locality memo; the Bloofi leaves track the learned summaries
+           plus the lazy [summary_for] fallback *)
   }
 
   type t = {
@@ -380,9 +324,6 @@ module Make (D : Hf_termination.Detector.S) = struct
            the serial CPU starts it — the queueing half of response
            time, previously dark (DESIGN.md §4i) *)
     admission_wait : Hf_obs.Histogram.t; (* submit-to-seed gate wait, virtual s *)
-    bloofi_depth : Hf_obs.Histogram.t;
-        (* deepest level reached per Bloofi planner descent — sublinear
-           probe cost made visible (hf.index.bloofi_descent_depth) *)
     mutable standalone_acks : int; (* acks that found no reverse traffic to ride *)
     mutable total_retransmits : int;
     mutable total_dup_drops : int;
@@ -407,6 +348,9 @@ module Make (D : Hf_termination.Detector.S) = struct
     let rel_config =
       Option.value config.reliability ~default:Hf_proto.Reliable.default
     in
+    let registry = Hf_obs.Registry.create () in
+    (* deepest level per Bloofi planner descent, across origins *)
+    let bloofi_depth = Hf_obs.Registry.histogram registry "hf.index.bloofi_descent_depth" in
     let sites =
       Array.init n_sites (fun id ->
           {
@@ -422,15 +366,9 @@ module Make (D : Hf_termination.Detector.S) = struct
             links =
               Array.init n_sites (fun _ ->
                   { rel = Hf_proto.Reliable.create rel_config; armed = None });
-            cache = Option.map Hf_index.Remote_cache.create config.cache;
-            summary_memo = None;
-            summary_told = Hashtbl.create 4;
-            summaries = Hashtbl.create 4;
-            summary_epoch = 0;
-            peer_epochs = Hashtbl.create 4;
-            bloofi = Hf_index.Bloofi.create ();
-            bloofi_src = Hashtbl.create 4;
-            locality_memo = None;
+            core =
+              Site_core.create ~self:id ~cache:config.cache ~bloofi:config.bloofi
+                ~bloofi_depth;
           })
     in
     let locate = match locate with Some f -> f | None -> Oid.birth_site in
@@ -438,12 +376,10 @@ module Make (D : Hf_termination.Detector.S) = struct
     (* Spans are stamped in virtual time so trace durations line up
        with the simulated response times. *)
     Hf_obs.Tracer.set_clock tracer (fun () -> Hf_sim.Sim.now sim);
-    let registry = Hf_obs.Registry.create () in
     let work_batch_items = Hf_obs.Registry.histogram registry "hf.server.work_batch_items" in
     let ack_latency = Hf_obs.Registry.histogram registry "hf.server.ack_latency_s" in
     let queue_wait = Hf_obs.Registry.histogram registry "hf.server.queue_wait_s" in
     let admission_wait = Hf_obs.Registry.histogram registry "hf.server.admission_wait_s" in
-    let bloofi_depth = Hf_obs.Registry.histogram registry "hf.index.bloofi_descent_depth" in
     let t =
       {
         sim;
@@ -457,7 +393,6 @@ module Make (D : Hf_termination.Detector.S) = struct
         ack_latency;
         queue_wait;
         admission_wait;
-        bloofi_depth;
         standalone_acks = 0;
         total_retransmits = 0;
         total_dup_drops = 0;
@@ -477,15 +412,15 @@ module Make (D : Hf_termination.Detector.S) = struct
        maintains its own tree over what it learned about its peers). *)
     Hf_obs.Registry.register_counter registry "hf.index.bloofi_probes" (fun () ->
         Array.fold_left
-          (fun acc site -> acc + Hf_index.Bloofi.probes_run site.bloofi)
+          (fun acc site -> acc + Site_core.bloofi_count Hf_index.Bloofi.probes_run site.core)
           0 t.sites);
     Hf_obs.Registry.register_counter registry "hf.index.bloofi_pruned_sites" (fun () ->
         Array.fold_left
-          (fun acc site -> acc + Hf_index.Bloofi.pruned_total site.bloofi)
+          (fun acc site -> acc + Site_core.bloofi_count Hf_index.Bloofi.pruned_total site.core)
           0 t.sites);
     Hf_obs.Registry.register_counter registry "hf.index.bloofi_rebuilds" (fun () ->
         Array.fold_left
-          (fun acc site -> acc + Hf_index.Bloofi.rebuilds site.bloofi)
+          (fun acc site -> acc + Site_core.bloofi_count Hf_index.Bloofi.rebuilds site.core)
           0 t.sites);
     (* Live gauges over the scheduler's previously-dark state
        (DESIGN.md §4i): run-queue depth and tenancy, admission gate
@@ -510,12 +445,7 @@ module Make (D : Hf_termination.Detector.S) = struct
           (Array.fold_left (fun acc site -> acc + Hashtbl.length site.contexts) 0 t.sites));
     Hf_obs.Registry.register_gauge registry "hf.server.cache_entries" (fun () ->
         float_of_int
-          (Array.fold_left
-             (fun acc site ->
-               match site.cache with
-               | None -> acc
-               | Some cache -> acc + Hf_index.Remote_cache.length cache)
-             0 t.sites));
+          (Array.fold_left (fun acc site -> acc + Site_core.cache_entries site.core) 0 t.sites));
     Hf_obs.Tracer.register tracer registry ~prefix:"hf.server";
     t
 
@@ -634,25 +564,16 @@ module Make (D : Hf_termination.Detector.S) = struct
           let ctx =
             {
               query;
-              plan = Hf_engine.Plan.make oq.program;
-              origin = query.originator;
+              q =
+                Site_core.query (Hf_engine.Plan.make oq.program) ~origin:query.originator
+                  ~final:(if site.id = query.originator then Some oq.final else None);
               span;
               marks;
               work = Hf_util.Deque.create ();
               detector =
                 D.create ~n_sites:(n_sites t) ~origin:query.originator ~self:site.id;
               stats = Hf_engine.Stats.create ();
-              bindings = Hashtbl.create 4;
-              result_buffer = [];
-              local_result_set = Oid.Set.empty;
               in_flight = 0;
-              validated = Hashtbl.create 4;
-              validating = Hashtbl.create 4;
-              parked = Hashtbl.create 4;
-              parked_count = 0;
-              answers = [];
-              answers_version = 0;
-              scatter = None;
             }
           in
           Hashtbl.replace site.contexts query ctx;
@@ -665,15 +586,6 @@ module Make (D : Hf_termination.Detector.S) = struct
         | None -> acc
         | Some ctx -> Hf_engine.Stats.merge acc ctx.stats)
       (Hf_engine.Stats.create ()) t.sites
-
-  (* --- result handling at the originator --- *)
-
-  let merge_bindings table extra =
-    List.iter
-      (fun (target, values) ->
-        let existing = match Hashtbl.find_opt table target with None -> [] | Some v -> v in
-        Hashtbl.replace table target (existing @ values))
-      extra
 
   (* Free an admission slot; if a submission was queued behind the cap
      it takes over the slot and its seeding thunk runs now. *)
@@ -695,7 +607,7 @@ module Make (D : Hf_termination.Detector.S) = struct
     let stats = merged_stats t oq.id in
     let origin_local =
       match Hashtbl.find_opt t.sites.(oq.id.originator).contexts oq.id with
-      | Some ctx -> Oid.Set.cardinal ctx.local_result_set
+      | Some ctx -> Oid.Set.cardinal ctx.q.local_result_set
       | None -> 0
     in
     oq.captured <- Some (stats, origin_local);
@@ -704,7 +616,7 @@ module Make (D : Hf_termination.Detector.S) = struct
         match Hashtbl.find_opt site.contexts oq.id with
         | Some ctx ->
           Hf_obs.Tracer.finish t.tracer ctx.span;
-          Hashtbl.replace site.retained oq.id ctx.local_result_set;
+          Hashtbl.replace site.retained oq.id ctx.q.local_result_set;
           Hashtbl.remove site.contexts oq.id;
           Hashtbl.remove site.out_pending oq.id
         | None -> ())
@@ -856,7 +768,7 @@ module Make (D : Hf_termination.Detector.S) = struct
         (fun (ctx, items, _) ->
           match find_open t ctx.query with
           | Some oq ->
-            let program = Hf_engine.Plan.program ctx.plan in
+            let program = Hf_engine.Plan.program ctx.q.plan in
             oq.metrics.Metrics.work_items <-
               oq.metrics.Metrics.work_items + List.length items;
             oq.metrics.Metrics.work_bytes <-
@@ -895,7 +807,7 @@ module Make (D : Hf_termination.Detector.S) = struct
           match prepare_batch t site ~dst entries with
           | _, [] -> ()
           | (dst, ((ctx0, _, _) :: _ as groups)) as prepared ->
-            enqueue t site ~tenant:ctx0.origin (fun () ->
+            enqueue t site ~tenant:ctx0.q.origin (fun () ->
                 let cost =
                   Hf_sim.Costs.batch_send t.config.costs ~items:(batch_total groups)
                 in
@@ -1132,7 +1044,7 @@ module Make (D : Hf_termination.Detector.S) = struct
         match context_of t site query with
         | None -> ()
         | Some ctx -> (
-            match ctx.scatter with
+            match ctx.q.scatter with
             | None -> ()
             | Some stitch ->
               ignore (Hf_engine.Scatter.Stitch.site_dead stitch ~site:dst);
@@ -1144,7 +1056,7 @@ module Make (D : Hf_termination.Detector.S) = struct
         match context_of t site query with
         | None -> ()
         | Some ctx ->
-          release_parked t site ctx ~dst (fun wi acc -> push_remote t site ctx wi acc))
+          release_parked t site ctx ~dst ~version:None)
     | Results _ | Control _ | Unreachable _ | Ack _ | Cache_version _ | Cache_answers _
     | Gather _ ->
       (* a gather toward a dead originator has no one left to tell,
@@ -1166,7 +1078,7 @@ module Make (D : Hf_termination.Detector.S) = struct
   and send_control t ~src ctx (dst, payload) =
     let oq = find_open t ctx.query in
     let site = t.sites.(src) in
-    enqueue t site ~tenant:ctx.origin (fun () ->
+    enqueue t site ~tenant:ctx.q.origin (fun () ->
         (match oq with
          | Some oq ->
            oq.metrics.Metrics.control_messages <- oq.metrics.Metrics.control_messages + 1;
@@ -1198,114 +1110,47 @@ module Make (D : Hf_termination.Detector.S) = struct
     | None -> acc
     | Some entries -> prepare_batch t site ~dst entries :: acc
 
-  (* Apply a verdict obtained without shipping (cache hit): exactly the
-     result bookkeeping [process_one] would have received back from the
-     remote site, minus the network. *)
-  and apply_verdict t site ctx wi passed =
-    if passed then begin
-      let oid = Hf_engine.Work_item.oid wi in
-      if not (Oid.Set.mem oid ctx.local_result_set) then begin
-        ctx.local_result_set <- Oid.Set.add oid ctx.local_result_set;
-        if site.id = ctx.origin then (
-          match find_open t ctx.query with
-          | Some oq ->
-            if not (Oid.Set.mem oid oq.final_set) then begin
-              oq.final_set <- Oid.Set.add oid oq.final_set;
-              oq.final_results <- oid :: oq.final_results
-            end
-          | None -> ())
-        else ctx.result_buffer <- oid :: ctx.result_buffer
-      end
-    end
-
-  (* Resolve one remote-bound item against a destination whose store
-     version has been vouched for this query.  Order matters for
-     credit safety: prune and hit happen before the item ever reaches
-     the batcher, so their credit is never split. *)
-  and resolve_item t site ctx ~dst ~version wi acc =
-    let start = Hf_engine.Work_item.start wi in
-    let iters = Hf_engine.Work_item.iters wi in
-    let oq = find_open t ctx.query in
-    let bump f = match oq with Some oq -> f oq.metrics | None -> () in
-    let cache_note name =
+  (* Count and trace a routing verdict, and ship the item when it must
+     go.  Prune and hit keep it off the wire, so its credit is never
+     split. *)
+  and apply_verdict t site ctx ~dst wi acc (verdict : Site_core.verdict) =
+    let bump f = match find_open t ctx.query with Some oq -> f oq.metrics | None -> () in
+    (* Pruned and Hit come only from a validated destination *)
+    let skipped name =
+      record t site.id name (Fmt.str "ship to %d skipped (%s)" dst (qname ctx.query));
       ignore
         (Hf_obs.Tracer.instant t.tracer ~parent:ctx.span ~query:(qname ctx.query)
            ~site:site.id ~phase:Hf_obs.Span.Cache
-           ~detail:(Fmt.str "dst=%d v=%d" dst version)
-           name)
-    in
-    let probes = Hf_index.Remote_cache.prune_probes ctx.plan ~start ~iters in
-    let pruned =
-      probes <> []
-      && (match Hashtbl.find_opt site.summaries dst with
-          | Some (v, summary) when v = version ->
-            Hf_index.Remote_cache.summary_misses summary probes
-          | Some _ | None -> false)
-    in
-    if pruned then begin
-      (* The destination's summary proves the item's first filter cannot
-         match there: no spawns, no results, no bindings — dropping it
-         is indistinguishable from shipping it, and cheaper. *)
-      bump (fun m -> m.Metrics.cache_prunes <- m.Metrics.cache_prunes + 1);
-      record t site.id "cache-prune" (Fmt.str "ship to %d skipped (%s)" dst (qname ctx.query));
-      cache_note "cache-prune";
+           ~detail:(Fmt.str "dst=%d v=%d" dst (Hashtbl.find ctx.q.validated dst))
+           name);
       acc
-    end
-    else if Hf_index.Remote_cache.cacheable ctx.plan ~start ~iters then begin
-      match site.cache with
-      | None -> push_remote t site ctx wi acc
-      | Some cache -> (
-          let key =
-            Hf_index.Remote_cache.entry_key ~dst ~plan:ctx.plan ~start ~iters
-              ~oid:(Hf_engine.Work_item.oid wi)
-          in
-          match
-            Hf_index.Remote_cache.lookup cache ~now:(Hf_sim.Sim.now t.sim) ~key ~version
-          with
-          | Hf_index.Remote_cache.Hit passed when t.config.result_mode = Ship_items ->
-            bump (fun m -> m.Metrics.cache_hits <- m.Metrics.cache_hits + 1);
-            record t site.id "cache-hit" (Fmt.str "ship to %d skipped (%s)" dst (qname ctx.query));
-            cache_note "cache-hit";
-            apply_verdict t site ctx wi passed;
-            acc
-          | Hf_index.Remote_cache.Hit _ ->
-            (* Counting modes attribute results to the site that found
-               them; serving locally would shift the attribution, so
-               ship anyway. *)
-            push_remote t site ctx wi acc
-          | Hf_index.Remote_cache.Invalidated ->
-            bump (fun m ->
-                m.Metrics.cache_invalidations <- m.Metrics.cache_invalidations + 1;
-                m.Metrics.cache_misses <- m.Metrics.cache_misses + 1);
-            push_remote t site ctx wi acc
-          | Hf_index.Remote_cache.Absent ->
-            bump (fun m -> m.Metrics.cache_misses <- m.Metrics.cache_misses + 1);
-            push_remote t site ctx wi acc)
-    end
-    else push_remote t site ctx wi acc
+    in
+    match verdict with
+    | Pruned ->
+      bump (fun m -> m.Metrics.cache_prunes <- m.Metrics.cache_prunes + 1);
+      skipped "cache-prune"
+    | Hit _ ->
+      bump (fun m -> m.Metrics.cache_hits <- m.Metrics.cache_hits + 1);
+      skipped "cache-hit"
+    | Miss { invalidated } ->
+      bump (fun m ->
+          if invalidated then
+            m.Metrics.cache_invalidations <- m.Metrics.cache_invalidations + 1;
+          m.Metrics.cache_misses <- m.Metrics.cache_misses + 1);
+      push_remote t site ctx wi acc
+    | Ship -> push_remote t site ctx wi acc
+    | Parked { validate } ->
+      if validate then send_cache_validate t site ctx ~dst;
+      acc
 
-  (* Route one remote-bound item.  With caching off this is the plain
-     batcher push; with it on, the first item for a destination parks
-     the traffic behind a Cache_validate round trip, and items for a
-     validated destination resolve (prune / hit / miss) immediately. *)
+  (* Route one remote-bound item through the cache layer.  Counting
+     result modes attribute results to the site that found them, so a
+     cache hit may be served locally only under [Ship_items]. *)
   and route_remote t site ctx wi acc =
-    match site.cache with
-    | None -> push_remote t site ctx wi acc
-    | Some _ -> (
-        let dst = t.locate (Hf_engine.Work_item.oid wi) in
-        match Hashtbl.find_opt ctx.validated dst with
-        | Some version -> resolve_item t site ctx ~dst ~version wi acc
-        | None ->
-          let waiting =
-            match Hashtbl.find_opt ctx.parked dst with Some l -> l | None -> []
-          in
-          Hashtbl.replace ctx.parked dst (wi :: waiting);
-          ctx.parked_count <- ctx.parked_count + 1;
-          if not (Hashtbl.mem ctx.validating dst) then begin
-            Hashtbl.replace ctx.validating dst ();
-            send_cache_validate t site ctx ~dst
-          end;
-          acc)
+    let dst = t.locate (Hf_engine.Work_item.oid wi) in
+    Site_core.route site.core ctx.q ~now:(Hf_sim.Sim.now t.sim)
+      ~can_serve:(t.config.result_mode = Ship_items) ~dst wi
+    |> apply_verdict t site ctx ~dst wi acc
 
   and send_cache_validate t site ctx ~dst =
     let oq = find_open t ctx.query in
@@ -1313,7 +1158,7 @@ module Make (D : Hf_termination.Detector.S) = struct
      | Some oq ->
        oq.metrics.Metrics.cache_validations <- oq.metrics.Metrics.cache_validations + 1
      | None -> ());
-    enqueue t site ~tenant:ctx.origin (fun () ->
+    enqueue t site ~tenant:ctx.q.origin (fun () ->
         (match oq with
          | Some oq ->
            oq.metrics.Metrics.control_messages <- oq.metrics.Metrics.control_messages + 1;
@@ -1338,7 +1183,7 @@ module Make (D : Hf_termination.Detector.S) = struct
     match prepared with
     | _, [] -> ()
     | _, ((ctx0, _, _) :: _ as groups) ->
-      enqueue t site ~tenant:ctx0.origin (fun () ->
+      enqueue t site ~tenant:ctx0.q.origin (fun () ->
           let cost = Hf_sim.Costs.batch_send t.config.costs ~items:(batch_total groups) in
           (match find_open t ctx0.query with
            | Some oq -> Metrics.add_busy oq.metrics site.id cost
@@ -1348,20 +1193,25 @@ module Make (D : Hf_termination.Detector.S) = struct
               send_prepared t site prepared;
               List.iter (fun ((gctx : context), _, _) -> maybe_drain t site gctx) groups ))
 
-  (* Unpark every item waiting on [dst] and hand each to [resolve]; the
-     no-op task at the end forces a pump cycle so pushes that stayed
-     under the flush threshold still ship via [flush_idle]. *)
-  and release_parked t site ctx ~dst resolve =
-    Hashtbl.remove ctx.validating dst;
-    match Hashtbl.find_opt ctx.parked dst with
-    | None -> maybe_drain t site ctx
-    | Some waiting ->
-      Hashtbl.remove ctx.parked dst;
-      let items = List.rev waiting in
-      ctx.parked_count <- ctx.parked_count - List.length items;
-      let flushed = List.fold_left (fun acc wi -> resolve wi acc) [] items in
+  (* Settle [dst]'s validation and route every item parked for it: at
+     the vouched [version], or plainly when the round trip gave up.
+     The no-op task at the end forces a pump cycle so pushes that
+     stayed under the flush threshold still ship via [flush_idle]. *)
+  and release_parked t site ctx ~dst ~version =
+    match Site_core.unpark ctx.q ~dst ~version with
+    | [] -> maybe_drain t site ctx
+    | items ->
+      let route wi acc =
+        (match version with
+         | Some version ->
+           Site_core.resolve site.core ctx.q ~now:(Hf_sim.Sim.now t.sim)
+             ~can_serve:(t.config.result_mode = Ship_items) ~dst ~version wi
+         | None -> Site_core.Ship)
+        |> apply_verdict t site ctx ~dst wi acc
+      in
+      let flushed = List.fold_left (fun acc wi -> route wi acc) [] items in
       List.iter (ship_resolved t site) flushed;
-      enqueue t site ~tenant:ctx.origin (fun () -> (0.0, fun () -> ()));
+      enqueue t site ~tenant:ctx.q.origin (fun () -> (0.0, fun () -> ()));
       maybe_drain t site ctx
 
   (* Apply a stitch outcome at the originator: newly activated passing
@@ -1373,23 +1223,9 @@ module Make (D : Hf_termination.Detector.S) = struct
      gather carried, so the detector can never converge while stitched
      chains still owe work. *)
   and apply_scatter_outcome t site ctx (outcome : Hf_engine.Scatter.Stitch.outcome) =
-    let oq = find_open t ctx.query in
-    List.iter
-      (fun oid ->
-        if not (Oid.Set.mem oid ctx.local_result_set) then begin
-          ctx.local_result_set <- Oid.Set.add oid ctx.local_result_set;
-          match oq with
-          | Some oq ->
-            if not (Oid.Set.mem oid oq.final_set) then begin
-              oq.final_set <- Oid.Set.add oid oq.final_set;
-              oq.final_results <- oid :: oq.final_results
-            end
-          | None -> ()
-        end)
-      outcome.passed;
-    (match oq with
+    Site_core.apply_stitched ctx.q outcome;
+    (match find_open t ctx.query with
      | Some oq ->
-       merge_bindings oq.final_bindings outcome.bindings;
        oq.metrics.Metrics.scatter_fallbacks <-
          oq.metrics.Metrics.scatter_fallbacks + List.length outcome.fallback
      | None -> ());
@@ -1402,7 +1238,7 @@ module Make (D : Hf_termination.Detector.S) = struct
       in
       List.iter (ship_resolved t site) flushed;
       (* force a pump cycle so under-threshold pushes still flush *)
-      enqueue t site ~tenant:ctx.origin (fun () -> (0.0, fun () -> ()))
+      enqueue t site ~tenant:ctx.q.origin (fun () -> (0.0, fun () -> ()))
     end
 
   (* Ship buffered results (and piggybacked controls) to the originator;
@@ -1419,47 +1255,41 @@ module Make (D : Hf_termination.Detector.S) = struct
     (* Opportunistic cache fill: ship the verdicts this site computed to
        the originator's cache.  Credit-free — a drop costs future hits,
        never correctness. *)
-    if site.cache <> None && site.id <> ctx.origin && ctx.answers <> [] then begin
-      let answers = List.rev ctx.answers in
-      let version = ctx.answers_version in
-      ctx.answers <- [];
-      enqueue t site ~tenant:ctx.origin (fun () ->
+    (match Site_core.take_answers ctx.q with
+     | None -> ()
+     | Some (version, answers) ->
+      enqueue t site ~tenant:ctx.q.origin (fun () ->
           (match oq with
            | Some oq ->
              oq.metrics.Metrics.control_messages <- oq.metrics.Metrics.control_messages + 1;
              Metrics.add_busy oq.metrics site.id t.config.costs.control_send
            | None -> ());
           record t site.id "cache-answers-send"
-            (Fmt.str "%d verdict(s) to %d" (List.length answers) ctx.origin);
+            (Fmt.str "%d verdict(s) to %d" (List.length answers) ctx.q.origin);
           ( t.config.costs.control_send,
             fun () ->
               let span =
                 Hf_obs.Tracer.start t.tracer ~parent:ctx.span ~query:(qname ctx.query)
                   ~site:site.id ~phase:Hf_obs.Span.Cache
-                  (Fmt.str "cache-answers->%d" ctx.origin)
+                  (Fmt.str "cache-answers->%d" ctx.q.origin)
               in
               Hf_obs.Tracer.set_detail t.tracer span
                 (Fmt.str "%d verdict(s) v=%d" (List.length answers) version);
               deliver t ~src:site.id ~oq ~label:"cache-answers" ~span
-                ~transit:t.config.costs.control_transit ~dst:ctx.origin
+                ~transit:t.config.costs.control_transit ~dst:ctx.q.origin
                 (Cache_answers { query = ctx.query; src = site.id; version; answers; span })
-                (fun dsite message -> handle_message t dsite message) ))
-    end;
-    if site.id = ctx.origin then
+                (fun dsite message -> handle_message t dsite message) )));
+    if site.id = ctx.q.origin then
       (* Originator: results are already final; controls go out directly. *)
       List.iter (send_control t ~src:site.id ctx) controls
     else begin
-      let has_results = ctx.result_buffer <> [] || Hashtbl.length ctx.bindings > 0 in
-      if not has_results then List.iter (send_control t ~src:site.id ctx) controls
+      let items, bindings = Site_core.take_results ctx.q in
+      if items = [] && bindings = [] then List.iter (send_control t ~src:site.id ctx) controls
       else begin
         let to_origin, elsewhere =
-          List.partition (fun (dst, _) -> dst = ctx.origin) controls
+          List.partition (fun (dst, _) -> dst = ctx.q.origin) controls
         in
         List.iter (send_control t ~src:site.id ctx) elsewhere;
-        let items = List.rev ctx.result_buffer in
-        let bindings =
-          Hashtbl.fold (fun target values acc -> (target, values) :: acc) ctx.bindings []
-        in
         let payload =
           match t.config.result_mode with
           | Ship_items -> Hf_proto.Message.Items items
@@ -1469,9 +1299,7 @@ module Make (D : Hf_termination.Detector.S) = struct
               Hf_proto.Message.Count (List.length items)
             else Hf_proto.Message.Items items
         in
-        ctx.result_buffer <- [];
-        Hashtbl.reset ctx.bindings;
-        enqueue t site ~tenant:ctx.origin (fun () ->
+        enqueue t site ~tenant:ctx.q.origin (fun () ->
             (match oq with
              | Some oq ->
                Metrics.add_busy oq.metrics site.id t.config.costs.result_msg_send;
@@ -1487,18 +1315,18 @@ module Make (D : Hf_termination.Detector.S) = struct
                 | Hf_proto.Message.Count _ -> ())
              | None -> ());
             record t site.id "result-send"
-              (Fmt.str "%d items to %d" (List.length items) ctx.origin);
+              (Fmt.str "%d items to %d" (List.length items) ctx.q.origin);
             ( t.config.costs.result_msg_send,
               fun () ->
                 let span =
                   Hf_obs.Tracer.start t.tracer ~parent:ctx.span ~query:(qname ctx.query)
                     ~site:site.id ~phase:Hf_obs.Span.Ship
-                    (Fmt.str "result->%d" ctx.origin)
+                    (Fmt.str "result->%d" ctx.q.origin)
                 in
                 Hf_obs.Tracer.set_detail t.tracer span
                   (Fmt.str "%d item(s)" (List.length items));
                 deliver t ~src:site.id ~oq ~label:"result" ~span
-                  ~transit:t.config.costs.result_msg_transit ~dst:ctx.origin
+                  ~transit:t.config.costs.result_msg_transit ~dst:ctx.q.origin
                   (Results { query = ctx.query; payload; bindings; piggybacked = to_origin;
                              src = site.id; span })
                   (fun dsite message -> handle_message t dsite message) ))
@@ -1512,8 +1340,8 @@ module Make (D : Hf_termination.Detector.S) = struct
       Hf_util.Deque.is_empty ctx.work
       && ctx.in_flight = 0
       && pending_for site ctx.query = 0
-      && ctx.parked_count = 0
-      && (match ctx.scatter with
+      && ctx.q.parked_count = 0
+      && (match ctx.q.scatter with
           | None -> true
           | Some stitch -> Hf_engine.Scatter.Stitch.outstanding stitch = 0)
     then drain t site ctx
@@ -1523,15 +1351,9 @@ module Make (D : Hf_termination.Detector.S) = struct
     | None -> (0.0, fun () -> ())
     | Some (item, source) ->
       ctx.in_flight <- ctx.in_flight + 1;
-      let emit ~target values =
-        let existing =
-          match Hashtbl.find_opt ctx.bindings target with None -> [] | Some v -> v
-        in
-        Hashtbl.replace ctx.bindings target (existing @ values)
-      in
       let { Hf_engine.Eval.spawned; passed; skipped } =
-        Hf_engine.Eval.run_object ~plan:ctx.plan ~find:(Hf_data.Store.find site.store)
-          ~marks:ctx.marks ~stats:ctx.stats ~emit item
+        Hf_engine.Eval.run_object ~plan:ctx.q.plan ~find:(Hf_data.Store.find site.store)
+          ~marks:ctx.marks ~stats:ctx.stats ~emit:(Site_core.emit ctx.q) item
       in
       let oq = find_open t ctx.query in
       (if skipped && source = From_network then
@@ -1558,7 +1380,7 @@ module Make (D : Hf_termination.Detector.S) = struct
             remote
       in
       let is_new_result =
-        passed && not (Oid.Set.mem (Hf_engine.Work_item.oid item) ctx.local_result_set)
+        passed && not (Oid.Set.mem (Hf_engine.Work_item.oid item) ctx.q.local_result_set)
       in
       let costs = t.config.costs in
       (* Remote spawns go through the cache layer and then the per-site
@@ -1576,59 +1398,25 @@ module Make (D : Hf_termination.Detector.S) = struct
              (fun acc (_, groups) ->
                acc +. Hf_sim.Costs.batch_send costs ~items:(batch_total groups))
              0.0 flushed
-        +. (if is_new_result && site.id = ctx.origin then costs.result_add else 0.0)
+        +. (if is_new_result && site.id = ctx.q.origin then costs.result_add else 0.0)
       in
       (match oq with Some oq -> Metrics.add_busy oq.metrics site.id duration | None -> ());
       let complete () =
         ctx.in_flight <- ctx.in_flight - 1;
         (* Record the verdict for the originator's cache: only items
            that arrived over the network (so the originator keyed a
-           ship to this site), ran for real (not mark-skipped), and
-           whose reachable suffix is store-state-only (cacheable). *)
-        (if
-           site.cache <> None
-           && source = From_network
-           && (not skipped)
-           && site.id <> ctx.origin
-           && Hf_index.Remote_cache.cacheable ctx.plan
-                ~start:(Hf_engine.Work_item.start item)
-                ~iters:(Hf_engine.Work_item.iters item)
-         then begin
-           let v = Hf_data.Store.version site.store in
-           if ctx.answers <> [] && ctx.answers_version <> v then ctx.answers <- [];
-           ctx.answers_version <- v;
-           ctx.answers <- (item, passed) :: ctx.answers
-         end);
+           ship to this site) and ran for real (not mark-skipped). *)
+        if source = From_network && not skipped then
+          Site_core.record_answer site.core ctx.q site.store item ~passed;
         List.iter
           (fun wi ->
             Hf_util.Deque.push_back ctx.work (wi, Seeded);
-            enqueue t site ~tenant:ctx.origin (process_one t site ctx))
+            enqueue t site ~tenant:ctx.q.origin (process_one t site ctx))
           local;
         List.iter (send_prepared t site) flushed;
-        if is_new_result then begin
-          let oid = Hf_engine.Work_item.oid item in
-          ctx.local_result_set <- Oid.Set.add oid ctx.local_result_set;
-          if site.id = ctx.origin then (
-            match oq with
-            | Some oq ->
-              if not (Oid.Set.mem oid oq.final_set) then begin
-                oq.final_set <- Oid.Set.add oid oq.final_set;
-                oq.final_results <- oid :: oq.final_results
-              end
-            | None -> ())
-          else ctx.result_buffer <- oid :: ctx.result_buffer
-        end;
+        if is_new_result then Site_core.add_result ctx.q (Hf_engine.Work_item.oid item);
         (* At the originator, emitted bindings are final immediately. *)
-        if site.id = ctx.origin then begin
-          match oq with
-          | Some oq ->
-            let extra =
-              Hashtbl.fold (fun target values acc -> (target, values) :: acc) ctx.bindings []
-            in
-            Hashtbl.reset ctx.bindings;
-            merge_bindings oq.final_bindings extra
-          | None -> ()
-        end;
+        Site_core.flush_bindings ctx.q;
         maybe_drain t site ctx;
         (* A flush triggered here may have shipped items other queries
            had buffered; their drain condition can now hold too. *)
@@ -1687,7 +1475,7 @@ module Make (D : Hf_termination.Detector.S) = struct
                   List.iter
                     (fun item ->
                       Hf_util.Deque.push_back ctx.work (item, From_network);
-                      enqueue t site ~tenant:ctx.origin (process_one t site ctx))
+                      enqueue t site ~tenant:ctx.q.origin (process_one t site ctx))
                     items)
                 resolved ))
     | Results { query; payload; bindings; piggybacked; src; span } -> (
@@ -1697,7 +1485,7 @@ module Make (D : Hf_termination.Detector.S) = struct
           let new_items =
             match payload with
             | Hf_proto.Message.Items items ->
-              List.filter (fun oid -> not (Oid.Set.mem oid oq.final_set)) items
+              List.filter (fun oid -> not (Oid.Set.mem oid oq.final.set)) items
             | Hf_proto.Message.Count _ -> []
           in
           let duration =
@@ -1717,12 +1505,8 @@ module Make (D : Hf_termination.Detector.S) = struct
                (Fmt.str "result-recv x%d" (List.length new_items)));
           ( duration,
             fun () ->
-              List.iter
-                (fun oid ->
-                  oq.final_set <- Oid.Set.add oid oq.final_set;
-                  oq.final_results <- oid :: oq.final_results)
-                new_items;
-              merge_bindings oq.final_bindings bindings;
+              List.iter (Site_core.add_final oq.final) new_items;
+              Site_core.add_bindings oq.final bindings;
               (match payload with
                | Hf_proto.Message.Count n ->
                  let prev = List.assoc_opt src oq.counts in
@@ -1765,7 +1549,7 @@ module Make (D : Hf_termination.Detector.S) = struct
                 (* [from] normally terminated long ago, so its context
                    was evicted and the portion lives in [retained]. *)
                 match Hashtbl.find_opt site.contexts from with
-                | Some prev -> Oid.Set.elements prev.local_result_set
+                | Some prev -> Oid.Set.elements prev.q.local_result_set
                 | None -> (
                     match Hashtbl.find_opt site.retained from with
                     | Some set -> Oid.Set.elements set
@@ -1774,8 +1558,8 @@ module Make (D : Hf_termination.Detector.S) = struct
               List.iter
                 (fun oid ->
                   Hf_util.Deque.push_back ctx.work
-                    (Hf_engine.Work_item.initial ctx.plan oid, From_network);
-                  enqueue t site ~tenant:ctx.origin (process_one t site ctx))
+                    (Hf_engine.Work_item.initial ctx.q.plan oid, From_network);
+                  enqueue t site ~tenant:ctx.q.origin (process_one t site ctx))
                 seeds;
               maybe_drain t site ctx ))
     | Ack _ ->
@@ -1794,30 +1578,7 @@ module Make (D : Hf_termination.Detector.S) = struct
       record t site.id "cache-validate-recv" (Fmt.str "from %d" src);
       ( costs.control_recv,
         fun () ->
-          let version = Hf_data.Store.version site.store in
-          let summary =
-            match t.config.cache with
-            | None -> None
-            | Some cfg ->
-              let bloom =
-                match site.summary_memo with
-                | Some (v, bloom) when v = version -> bloom
-                | Some _ | None ->
-                  let bloom = Hf_index.Remote_cache.summary_of_store cfg site.store in
-                  site.summary_memo <- Some (version, bloom);
-                  site.summary_epoch <- site.summary_epoch + 1;
-                  bloom
-              in
-              if
-                match Hashtbl.find_opt site.summary_told src with
-                | Some v -> v = version
-                | None -> false
-              then None (* the asker already holds this version's summary *)
-              else begin
-                Hashtbl.replace site.summary_told src version;
-                Some bloom
-              end
-          in
+          let version, summary = Site_core.answer_validate site.core site.store ~peer:src in
           let oq = find_open t query in
           enqueue t site ~tenant:query.originator (fun () ->
               (match oq with
@@ -1839,7 +1600,7 @@ module Make (D : Hf_termination.Detector.S) = struct
                   deliver t ~src:site.id ~oq ~label:"cache-version" ~span:rspan
                     ~transit:t.config.costs.control_transit ~dst:src
                     (Cache_version
-                       { query; site = site.id; version; epoch = site.summary_epoch;
+                       { query; site = site.id; version; epoch = Site_core.epoch site.core;
                          summary; src = site.id; span = rspan })
                     (fun dsite message -> handle_message t dsite message) )) )
     | Cache_version { query; site = peer; version; epoch; summary; src = _; span } ->
@@ -1849,44 +1610,10 @@ module Make (D : Hf_termination.Detector.S) = struct
       record t site.id "cache-version-recv" (Fmt.str "site %d at v=%d" peer version);
       ( costs.control_recv,
         fun () ->
-          (* An epoch regression means the peer's summary lineage
-             restarted: everything learned from the old lineage — flat
-             summary, Bloofi leaf, and version-keyed verdicts (the new
-             lineage's version can collide) — is dead. *)
-          (match Hashtbl.find_opt site.peer_epochs peer with
-           | Some e when epoch < e ->
-             Hashtbl.remove site.summaries peer;
-             Hashtbl.remove site.bloofi_src peer;
-             Hf_index.Bloofi.remove site.bloofi ~site:peer;
-             Option.iter
-               (fun cache -> Hf_index.Remote_cache.drop_dst cache ~dst:peer)
-               site.cache
-           | Some _ | None -> ());
-          Hashtbl.replace site.peer_epochs peer epoch;
-          (match summary with
-           | Some bloom ->
-             Hashtbl.replace site.summaries peer (version, bloom);
-             if t.config.bloofi then begin
-               Hf_index.Bloofi.insert site.bloofi ~site:peer bloom;
-               Hashtbl.replace site.bloofi_src peer bloom
-             end
-           | None -> (
-               (* No summary aboard means "you already have it"; if ours
-                  is for another version (the reply that carried the new
-                  one was lost), drop it — a stale summary must never
-                  prune at the new version. *)
-               match Hashtbl.find_opt site.summaries peer with
-               | Some (v, _) when v <> version ->
-                 Hashtbl.remove site.summaries peer;
-                 Hashtbl.remove site.bloofi_src peer;
-                 Hf_index.Bloofi.remove site.bloofi ~site:peer
-               | Some _ | None -> ()));
+          Site_core.learn site.core ~peer ~version ~epoch summary;
           match context_of t ~cause:span site query with
           | None -> ()
-          | Some ctx ->
-            Hashtbl.replace ctx.validated peer version;
-            release_parked t site ctx ~dst:peer (fun wi acc ->
-                resolve_item t site ctx ~dst:peer ~version wi acc) )
+          | Some ctx -> release_parked t site ctx ~dst:peer ~version:(Some version) )
     | Cache_answers { query; src; version; answers; span } ->
       (match find_open t query with
        | Some oq -> Metrics.add_busy oq.metrics site.id costs.control_recv
@@ -1895,25 +1622,16 @@ module Make (D : Hf_termination.Detector.S) = struct
         (Fmt.str "%d verdict(s) from %d" (List.length answers) src);
       ( costs.control_recv,
         fun () ->
-          match (site.cache, context_of t ~cause:span site query) with
-          | Some cache, Some ctx ->
+          match context_of t ~cause:span site query with
+          | None -> ()
+          | Some ctx ->
+            let filled =
+              Site_core.fill site.core ctx.q ~now:(Hf_sim.Sim.now t.sim) ~peer:src ~version
+                answers
+            in
             (match find_open t query with
-             | Some oq ->
-               oq.metrics.Metrics.cache_fills <-
-                 oq.metrics.Metrics.cache_fills + List.length answers
-             | None -> ());
-            List.iter
-              (fun (wi, passed) ->
-                let key =
-                  Hf_index.Remote_cache.entry_key ~dst:src ~plan:ctx.plan
-                    ~start:(Hf_engine.Work_item.start wi)
-                    ~iters:(Hf_engine.Work_item.iters wi)
-                    ~oid:(Hf_engine.Work_item.oid wi)
-                in
-                Hf_index.Remote_cache.put cache ~now:(Hf_sim.Sim.now t.sim) ~key
-                  ~version ~passed)
-              answers
-          | (Some _ | None), _ -> () )
+             | Some oq -> oq.metrics.Metrics.cache_fills <- oq.metrics.Metrics.cache_fills + filled
+             | None -> ()) )
     | Scatter { query; roots; tag; src; span } -> (
         (* A scattered site evaluates its whole speculation domain in
            one go: every local object at every landing pc, plus the
@@ -1927,7 +1645,7 @@ module Make (D : Hf_termination.Detector.S) = struct
           let oids = Hf_data.Store.oids site.store in
           let landing =
             List.length
-              (Hf_query.Plan.landing_pcs (Hf_engine.Plan.program ctx.plan))
+              (Hf_query.Plan.landing_pcs (Hf_engine.Plan.program ctx.q.plan))
           in
           let domain = List.length roots + (List.length oids * landing) in
           let duration =
@@ -1944,7 +1662,7 @@ module Make (D : Hf_termination.Detector.S) = struct
               let controls = D.on_recv_work ctx.detector ~src tag in
               List.iter (send_control t ~src:site.id ctx) controls;
               let nodes =
-                Hf_engine.Scatter.eval_site ~plan:ctx.plan
+                Hf_engine.Scatter.eval_site ~plan:ctx.q.plan
                   ~find:(Hf_data.Store.find site.store) ~oids ~roots
                   ~stats:ctx.stats
               in
@@ -1955,11 +1673,11 @@ module Make (D : Hf_termination.Detector.S) = struct
                | Some oq when terminated -> finish_query t oq
                | Some _ | None -> ());
               let to_origin, elsewhere =
-                List.partition (fun (dst, _) -> dst = ctx.origin) controls
+                List.partition (fun (dst, _) -> dst = ctx.q.origin) controls
               in
               List.iter (send_control t ~src:site.id ctx) elsewhere;
               let oq = find_open t query in
-              enqueue t site ~tenant:ctx.origin (fun () ->
+              enqueue t site ~tenant:ctx.q.origin (fun () ->
                   (match oq with
                    | Some oq ->
                      Metrics.add_busy oq.metrics site.id
@@ -1973,20 +1691,20 @@ module Make (D : Hf_termination.Detector.S) = struct
                        + gather_message_bytes nodes
                    | None -> ());
                   record t site.id "gather-send"
-                    (Fmt.str "%d node(s) to %d" (List.length nodes) ctx.origin);
+                    (Fmt.str "%d node(s) to %d" (List.length nodes) ctx.q.origin);
                   ( t.config.costs.result_msg_send,
                     fun () ->
                       let gspan =
                         Hf_obs.Tracer.start t.tracer ~parent:ctx.span
                           ~query:(qname query) ~site:site.id
                           ~phase:Hf_obs.Span.Scatter
-                          (Fmt.str "gather->%d" ctx.origin)
+                          (Fmt.str "gather->%d" ctx.q.origin)
                       in
                       Hf_obs.Tracer.set_detail t.tracer gspan
                         (Fmt.str "%d node(s)" (List.length nodes));
                       deliver t ~src:site.id ~oq ~label:"gather" ~span:gspan
                         ~transit:t.config.costs.result_msg_transit
-                        ~dst:ctx.origin
+                        ~dst:ctx.q.origin
                         (Gather
                            { query; nodes; piggybacked = to_origin;
                              src = site.id; span = gspan })
@@ -2011,15 +1729,9 @@ module Make (D : Hf_termination.Detector.S) = struct
               match context_of t ~cause:span site query with
               | None -> ()
               | Some ctx ->
-                (match ctx.scatter with
-                 | None -> ()
-                 | Some stitch ->
-                   let outcome =
-                     Hf_engine.Scatter.Stitch.add_gather stitch ~site:src nodes
-                   in
-                   (* fallback credit splits happen inside, BEFORE the
-                      piggybacked deposits below *)
-                   apply_scatter_outcome t site ctx outcome);
+                (* fallback credit splits happen inside, BEFORE the
+                   piggybacked deposits below *)
+                apply_scatter_outcome t site ctx (Site_core.gather ctx.q ~site:src nodes);
                 List.iter
                   (fun (_, payload) ->
                     handle_detector_result t oq
@@ -2046,28 +1758,6 @@ module Make (D : Hf_termination.Detector.S) = struct
 
   (* --- the execution-mode planner (doc/execution_modes.md) --- *)
 
-  (* Locality signal: the fraction of the origin store's pointer tuples
-     whose target lives on-site, memoized per store version.  This is
-     what separates the two ends of the locality sweep — chains that
-     mostly stay home make shipping's expected hop count collapse. *)
-  let p_local_of t site =
-    let version = Hf_data.Store.version site.store in
-    match site.locality_memo with
-    | Some (v, p) when v = version -> p
-    | Some _ | None ->
-      let total = ref 0 and local = ref 0 in
-      Hf_data.Store.iter site.store (fun obj ->
-          List.iter
-            (fun target ->
-              incr total;
-              if t.locate target = site.id then incr local)
-            (Hf_data.Hobject.pointers obj));
-      let p =
-        if !total = 0 then 1.0 else float_of_int !local /. float_of_int !total
-      in
-      site.locality_memo <- Some (version, p);
-      p
-
   (* The peer summary the planner consults: preferably what the origin
      learned from [Cache_version] replies — but only while the peer's
      store is still at the version the summary was built for, because
@@ -2078,151 +1768,42 @@ module Make (D : Hf_termination.Detector.S) = struct
      stand-in for the stats a real deployment piggybacks on the
      validation round trip.  With the cache layer off there is no
      summary channel at all and the planner stays conservative. *)
-  let summary_for t origin_site peer =
-    match Hashtbl.find_opt origin_site.summaries peer.id with
+  let summary_for origin_site peer =
+    match Site_core.learned origin_site.core ~peer:peer.id with
     | Some (v, bloom) when v = Hf_data.Store.version peer.store -> Some bloom
-    | Some _ | None -> (
-        match t.config.cache with
-        | None -> None
-        | Some cfg ->
-          let version = Hf_data.Store.version peer.store in
-          let bloom =
-            match peer.summary_memo with
-            | Some (v, bloom) when v = version -> bloom
-            | Some _ | None ->
-              let bloom = Hf_index.Remote_cache.summary_of_store cfg peer.store in
-              peer.summary_memo <- Some (version, bloom);
-              bloom
-          in
-          Some bloom)
+    | Some _ | None -> Site_core.own_summary peer.core peer.store
 
-  (* Bring [origin_site]'s Bloofi leaves in line with what the summary
-     channel would answer right now: upsert peers whose filter changed
-     (physical inequality — learned summaries and memo entries are
-     shared, so an unchanged summary is the same block), drop peers the
-     channel no longer vouches for.  The lazy half of tree maintenance;
-     the eager half is the [Cache_version] receive arm. *)
-  let sync_bloofi t origin_site =
-    Array.iter
+  (* Per-peer planner inputs: store cardinality standing in for the
+     store stats the validation reply reports, and [summary_for]. *)
+  let peer_infos t origin_site =
+    List.filter_map
       (fun peer ->
-        if peer.id <> origin_site.id then
-          match summary_for t origin_site peer with
-          | Some bloom ->
-            if
-              match Hashtbl.find_opt origin_site.bloofi_src peer.id with
-              | Some installed -> installed != bloom
-              | None -> true
-            then begin
-              Hf_index.Bloofi.insert origin_site.bloofi ~site:peer.id bloom;
-              Hashtbl.replace origin_site.bloofi_src peer.id bloom
-            end
-          | None ->
-            if Hashtbl.mem origin_site.bloofi_src peer.id then begin
-              Hashtbl.remove origin_site.bloofi_src peer.id;
-              Hf_index.Bloofi.remove origin_site.bloofi ~site:peer.id
-            end)
-      t.sites
+        if peer.id = origin_site.id then None
+        else
+          Some
+            (peer.id, (Some (Hf_data.Store.cardinal peer.store), summary_for origin_site peer)))
+      (Array.to_list t.sites)
 
-  (* Price both modes for [program] over [initial] and pick one.  Pure
-     given its inputs: seed placement from [locate], per-peer hints from
-     the summary channel (store cardinality standing in for the store
-     stats the validation reply reports), and unit costs lifted straight
-     from the simulator's cost table so the estimates share dimensions
-     with what the run will actually charge.  With [config.bloofi] the
-     landing verdicts come from one tree descent; leaves equal the flat
-     filters, so the verdicts are identical — only the probe cost
-     changes (and [decision.index] reports it). *)
+  (* Price both modes for [program] over [initial] and pick one, with
+     unit costs lifted straight from the simulator's cost table so the
+     estimates share dimensions with what the run will actually
+     charge. *)
   let plan_decision t ~origin program initial =
-    let plan = Hf_engine.Plan.make program in
-    let zeros = Array.make (Hf_engine.Plan.iter_count plan) 0 in
-    let landing = Hf_query.Plan.landing_pcs program in
-    let seed_sites =
-      List.fold_left
-        (fun acc oid ->
-          let s = t.locate oid in
-          match List.assoc_opt s acc with
-          | Some n -> (s, n + 1) :: List.remove_assoc s acc
-          | None -> (s, 1) :: acc)
-        [] initial
-    in
-    let origin_site = t.sites.(origin) in
-    let landing_groups =
-      List.map
-        (fun pc -> Hf_index.Remote_cache.prune_probes plan ~start:pc ~iters:zeros)
-        landing
-    in
-    let start_probes =
-      Hf_index.Remote_cache.prune_probes plan ~start:0 ~iters:zeros
-    in
-    let flat_may bloom =
-      landing_groups = []
-      || List.exists
-           (fun probes ->
-             probes = []
-             || not (Hf_index.Remote_cache.summary_misses bloom probes))
-           landing_groups
-    in
-    let seed_may bloom =
-      start_probes = []
-      || not (Hf_index.Remote_cache.summary_misses bloom start_probes)
-    in
-    let index_probe =
-      if not t.config.bloofi then None
-      else begin
-        sync_bloofi t origin_site;
-        let tree = origin_site.bloofi in
-        if Hf_index.Bloofi.cardinal tree = 0 then None
-        else begin
-          let r = Hf_index.Bloofi.probe tree landing_groups in
-          Hf_obs.Histogram.observe t.bloofi_depth (float_of_int r.depth);
-          let may = Hashtbl.create 16 in
-          List.iter (fun s -> Hashtbl.replace may s ()) r.sites;
-          let stats =
-            {
-              Hf_query.Plan.indexed = Hf_index.Bloofi.cardinal tree;
-              touched = r.touched;
-              depth = r.depth;
-              pruned = Hf_index.Bloofi.cardinal tree - List.length r.sites;
-            }
-          in
-          Some (tree, may, stats)
-        end
-      end
-    in
-    let hints =
-      List.filter_map
-        (fun peer ->
-          if peer.id = origin then None
-          else
-            let summary = summary_for t origin_site peer in
-            let may_match =
-              match index_probe with
-              | Some (tree, may, _) when Hf_index.Bloofi.mem tree ~site:peer.id
-                ->
-                Some (Hashtbl.mem may peer.id)
-              | Some _ | None -> Option.map flat_may summary
-            in
-            let seed_may_match = Option.map seed_may summary in
-            let objects = Some (Hf_data.Store.cardinal peer.store) in
-            Some { Hf_query.Plan.site = peer.id; objects; may_match; seed_may_match })
-        (Array.to_list t.sites)
-    in
     let costs = t.config.costs in
-    let item_bytes = 13 + 4 + (4 * Hf_engine.Plan.iter_count plan) in
-    let plan_costs =
-      {
-        Hf_query.Plan.transit = costs.msg_transit;
-        header_bytes = batch_header_bytes program;
-        item_bytes;
-        node_bytes = 32;
-        eval_s = costs.process;
-        byte_s = costs.msg_item_transit /. float_of_int item_bytes;
-        p_local = p_local_of t origin_site;
-      }
-    in
-    Hf_query.Plan.decide ~program ~origin ~seed_sites ~hints
-      ?index:(Option.map (fun (_, _, stats) -> stats) index_probe)
-      ~costs:plan_costs ()
+    let origin_site = t.sites.(origin) in
+    Site_core.plan_decision origin_site.core ~locate:t.locate ~store:origin_site.store
+      ~peers:(peer_infos t origin_site)
+      ~costs:(fun ~item_bytes ~p_local ->
+        {
+          Hf_query.Plan.transit = costs.msg_transit;
+          header_bytes = batch_header_bytes program;
+          item_bytes;
+          node_bytes = 32;
+          eval_s = costs.process;
+          byte_s = costs.msg_item_transit /. float_of_int item_bytes;
+          p_local;
+        })
+      program initial
 
   (* The planner's verdict without running the query — [hfql :plan] and
      [hfql demo --explain-plan] render this. *)
@@ -2247,9 +1828,7 @@ module Make (D : Hf_termination.Detector.S) = struct
         start_time = Hf_sim.Sim.now t.sim;
         span;
         metrics = Metrics.create ~n_sites:(n_sites t);
-        final_results = [];
-        final_set = Oid.Set.empty;
-        final_bindings = Hashtbl.create 4;
+        final = Site_core.results ();
         counts = [];
         terminated = false;
         unreachable_sites = [];
@@ -2267,7 +1846,7 @@ module Make (D : Hf_termination.Detector.S) = struct
 
   let outcome_of t oq =
     let bindings =
-      Hashtbl.fold (fun target values acc -> (target, values) :: acc) oq.final_bindings []
+      Hashtbl.fold (fun target values acc -> (target, values) :: acc) oq.final.merged []
       |> List.sort (fun (a, _) (b, _) -> String.compare a b)
     in
     let origin_local =
@@ -2277,7 +1856,7 @@ module Make (D : Hf_termination.Detector.S) = struct
       | Some (_, origin_local) -> Some origin_local
       | None -> (
           match Hashtbl.find_opt t.sites.(oq.id.originator).contexts oq.id with
-          | Some ctx -> Some (Oid.Set.cardinal ctx.local_result_set)
+          | Some ctx -> Some (Oid.Set.cardinal ctx.q.local_result_set)
           | None -> None)
     in
     let counts =
@@ -2292,8 +1871,8 @@ module Make (D : Hf_termination.Detector.S) = struct
             :: List.filter (fun (s, _) -> s <> oq.id.originator) oq.counts)
     in
     {
-      results = List.rev oq.final_results;
-      result_set = oq.final_set;
+      results = List.rev oq.final.oids;
+      result_set = oq.final.set;
       bindings;
       counts = List.sort compare counts;
       terminated = oq.terminated;
@@ -2363,40 +1942,12 @@ module Make (D : Hf_termination.Detector.S) = struct
          Scatter additionally needs [Local_marks] (the stitch reproduces
          per-site entry suppression, not a global table's) and
          [Ship_items] (gathers carry nodes, not counts). *)
-      let decision =
-        match t.config.exec with
-        | Exec_ship -> None
-        | Exec_scatter | Exec_auto ->
-          Some (plan_decision t ~origin oq.program initial)
+      let decision, scatter_sites =
+        Site_core.choose t.config.exec
+          ~can_scatter:(t.config.mark_scope = Local_marks && t.config.result_mode = Ship_items)
+          (fun () -> plan_decision t ~origin oq.program initial)
       in
       oq.decision <- decision;
-      let engine_ok =
-        (match t.config.mark_scope with
-         | Local_marks -> true
-         | Global_marks -> false)
-        && match t.config.result_mode with
-           | Ship_items -> true
-           | Ship_counts | Ship_threshold _ -> false
-      in
-      let scatter_sites =
-        match decision with
-        | None -> None
-        | Some d ->
-          let can =
-            engine_ok && d.Hf_query.Plan.eligible
-            && d.Hf_query.Plan.predicted <> []
-          in
-          (match t.config.exec with
-           | Exec_ship -> None
-           | Exec_scatter -> if can then Some d.Hf_query.Plan.predicted else None
-           | Exec_auto ->
-             if
-               can
-               && Hf_query.Plan.equal_mode d.Hf_query.Plan.chosen
-                    Hf_query.Plan.Scatter
-             then Some d.Hf_query.Plan.predicted
-             else None)
-      in
       (match decision with
        | None -> ()
        | Some _ ->
@@ -2417,37 +1968,15 @@ module Make (D : Hf_termination.Detector.S) = struct
        predicted set always covers the remote seed sites, but a custom
        [locate] could disagree with a stale view, so anything that lands
        outside the member set ships classically — same contract as a
-       stitched chain that escapes. *)
-    let member = Hashtbl.create 7 in
-    List.iter (fun s -> Hashtbl.replace member s ()) (origin :: sites);
-    let roots = Hashtbl.create 7 in
-    let stray = ref [] in
-    List.iter
-      (fun oid ->
-        let s = t.locate oid in
-        if Hashtbl.mem member s then
-          Hashtbl.replace roots s
-            (oid
-            ::
-            (match Hashtbl.find_opt roots s with Some l -> l | None -> []))
-        else stray := oid :: !stray)
-      initial;
-    let roots_of s =
-      match Hashtbl.find_opt roots s with Some l -> List.rev l | None -> []
-    in
-    let stitch =
-      Hf_engine.Scatter.Stitch.create ~plan:ctx.plan ~locate:t.locate
-        ~sites:(origin :: sites)
-        ~roots:(List.map (fun s -> (s, roots_of s)) (origin :: sites))
-    in
-    (* installed before any task runs, so [maybe_drain] holds the origin
-       open until every gather (or a death verdict) lands *)
-    ctx.scatter <- Some stitch;
+       stitched chain that escapes.  The stitch is installed before any task runs, so [maybe_drain]
+       holds the origin open until every gather (or a death verdict)
+       lands. *)
+    let roots_of, stray = Site_core.scatter_seed ctx.q ~locate:t.locate ~sites initial in
     enqueue t origin_site ~tenant:origin (fun () ->
         let oids = Hf_data.Store.oids origin_site.store in
         let landing =
           List.length
-            (Hf_query.Plan.landing_pcs (Hf_engine.Plan.program ctx.plan))
+            (Hf_query.Plan.landing_pcs (Hf_engine.Plan.program ctx.q.plan))
         in
         let own_roots = roots_of origin in
         let domain = List.length own_roots + (List.length oids * landing) in
@@ -2463,23 +1992,20 @@ module Make (D : Hf_termination.Detector.S) = struct
             (* Local half: the originator evaluates its own domain and
                feeds the stitch as if it had gathered from itself. *)
             let nodes =
-              Hf_engine.Scatter.eval_site ~plan:ctx.plan
+              Hf_engine.Scatter.eval_site ~plan:ctx.q.plan
                 ~find:(Hf_data.Store.find origin_site.store) ~oids
                 ~roots:own_roots ~stats:ctx.stats
             in
-            let outcome =
-              Hf_engine.Scatter.Stitch.add_gather stitch ~site:origin nodes
-            in
-            apply_scatter_outcome t origin_site ctx outcome;
-            (if !stray <> [] then begin
+            apply_scatter_outcome t origin_site ctx (Site_core.gather ctx.q ~site:origin nodes);
+            (if stray <> [] then begin
                let flushed =
                  List.rev
                    (List.fold_left
                       (fun acc oid ->
                         route_remote t origin_site ctx
-                          (Hf_engine.Work_item.initial ctx.plan oid)
+                          (Hf_engine.Work_item.initial ctx.q.plan oid)
                           acc)
-                      [] (List.rev !stray))
+                      [] stray)
                in
                List.iter (ship_resolved t origin_site) flushed
              end);
@@ -2487,7 +2013,7 @@ module Make (D : Hf_termination.Detector.S) = struct
               (fun dst ->
                 let tag = D.on_send_work ctx.detector ~dst in
                 let dst_roots = roots_of dst in
-                let program = Hf_engine.Plan.program ctx.plan in
+                let program = Hf_engine.Plan.program ctx.q.plan in
                 oq.metrics.Metrics.scatter_messages <-
                   oq.metrics.Metrics.scatter_messages + 1;
                 oq.metrics.Metrics.scatter_bytes <-
@@ -2529,7 +2055,7 @@ module Make (D : Hf_termination.Detector.S) = struct
                (List.fold_left
                   (fun acc oid ->
                     route_remote t origin_site ctx
-                      (Hf_engine.Work_item.initial ctx.plan oid)
+                      (Hf_engine.Work_item.initial ctx.q.plan oid)
                       acc)
                   [] remote)
            in
@@ -2545,7 +2071,7 @@ module Make (D : Hf_termination.Detector.S) = struct
                List.iter
                  (fun oid ->
                    Hf_util.Deque.push_back ctx.work
-                     (Hf_engine.Work_item.initial ctx.plan oid, Seeded);
+                     (Hf_engine.Work_item.initial ctx.q.plan oid, Seeded);
                    enqueue t origin_site ~tenant:origin (process_one t origin_site ctx))
                  local;
                List.iter (send_prepared t origin_site) flushed;
@@ -2637,9 +2163,8 @@ module Make (D : Hf_termination.Detector.S) = struct
             match Hashtbl.find_opt site.contexts oq.id with
             | Some ctx ->
               Hf_util.Deque.clear ctx.work;
-              Hashtbl.reset ctx.parked;
-              ctx.parked_count <- 0;
-              ctx.result_buffer <- []
+              Site_core.drop_parked ctx.q;
+              ctx.q.result_buffer <- []
             | None -> ())
           t.sites;
         evict_query t oq;
@@ -2680,29 +2205,9 @@ module Make (D : Hf_termination.Detector.S) = struct
               tree over-ships but never loses a result. *)
            let remote_sites =
              if not t.config.bloofi then remote_sites
-             else begin
-               sync_bloofi t origin_site;
-               let zeros =
-                 Array.make (Hf_engine.Plan.iter_count ctx.plan) 0
-               in
-               let probes =
-                 Hf_index.Remote_cache.prune_probes ctx.plan ~start:0
-                   ~iters:zeros
-               in
-               if probes = [] || Hf_index.Bloofi.cardinal origin_site.bloofi = 0
-               then remote_sites
-               else begin
-                 let r = Hf_index.Bloofi.probe origin_site.bloofi [ probes ] in
-                 Hf_obs.Histogram.observe t.bloofi_depth (float_of_int r.depth);
-                 let may = Hashtbl.create 16 in
-                 List.iter (fun s -> Hashtbl.replace may s ()) r.sites;
-                 List.filter
-                   (fun s ->
-                     Hashtbl.mem may s
-                     || not (Hf_index.Bloofi.mem origin_site.bloofi ~site:s))
-                   remote_sites
-               end
-             end
+             else
+               Site_core.requery_sites origin_site.core ~peers:(peer_infos t origin_site)
+                 ctx.q.plan remote_sites
            in
            let duration =
              float_of_int (List.length remote_sites) *. t.config.costs.msg_send
@@ -2714,7 +2219,7 @@ module Make (D : Hf_termination.Detector.S) = struct
                   its context was evicted). *)
                let local_seeds =
                  match Hashtbl.find_opt origin_site.contexts from with
-                 | Some prev -> Oid.Set.elements prev.local_result_set
+                 | Some prev -> Oid.Set.elements prev.q.local_result_set
                  | None -> (
                      match Hashtbl.find_opt origin_site.retained from with
                      | Some set -> Oid.Set.elements set
@@ -2723,7 +2228,7 @@ module Make (D : Hf_termination.Detector.S) = struct
                List.iter
                  (fun oid ->
                    Hf_util.Deque.push_back ctx.work
-                     (Hf_engine.Work_item.initial ctx.plan oid, Seeded);
+                     (Hf_engine.Work_item.initial ctx.q.plan oid, Seeded);
                    enqueue t origin_site ~tenant:origin (process_one t origin_site ctx))
                  local_seeds;
                List.iter

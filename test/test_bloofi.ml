@@ -423,6 +423,60 @@ let test_tcp_epoch_regression_sound () =
           check_int "the new lineage's hot object is found, not pruned" 1
             (List.length o2.Tcp.results)))
 
+(* A TCP [Cache_version] whose summary does not decode is a summary-less
+   reply: at a version other than the held summary's, that summary and
+   its Bloofi leaf must go, or the planner keeps reading a summary the
+   peer has already moved past.  The bad reply is written straight onto
+   the origin's listener, as a peer with a broken encoder would. *)
+let test_tcp_undecodable_summary_drops_stale_leaf () =
+  let a = Tcp.create ~site:0 ~cache:Rc.default () in
+  let b = Tcp.create ~site:1 ~cache:Rc.default () in
+  Fun.protect
+    ~finally:(fun () ->
+      Tcp.shutdown a;
+      Tcp.shutdown b)
+    (fun () ->
+      let addresses = Array.map Tcp.address [| a; b |] in
+      Array.iter (fun s -> Tcp.set_peers s addresses) [| a; b |];
+      let b_oid = Store.fresh_oid (Tcp.store b) in
+      Store.insert (Tcp.store b)
+        (Hf_data.Hobject.of_tuples b_oid [ Hf_data.Tuple.keyword "hot" ]);
+      let a_oid = Store.fresh_oid (Tcp.store a) in
+      Store.insert (Tcp.store a)
+        (Hf_data.Hobject.of_tuples a_oid [ Hf_data.Tuple.pointer ~key:"R" b_oid ]);
+      let program = compile "(Pointer, \"R\", ?X) ^^X (Keyword, \"hot\", ?)" in
+      let o = Tcp.run_query a program [ a_oid ] in
+      check_int "found" 1 (List.length o.Tcp.results);
+      let indexed () =
+        match (Tcp.explain a program [ a_oid ]).Hf_query.Plan.index with
+        | Some stats -> stats.Hf_query.Plan.indexed
+        | None -> 0
+      in
+      check_int "b's summary learned" 1 (indexed ());
+      let reply =
+        Hf_proto.Message.Cache_version
+          {
+            query = { Hf_proto.Message.originator = 0; serial = 999 };
+            site = 1;
+            version = Store.version (Tcp.store b) + 1;
+            epoch = 1_000;
+            summary = Some "\255";
+          }
+      in
+      check_bool "summary does not decode" true (Option.is_none (Bloom.of_string "\255"));
+      let fd = Unix.socket PF_INET SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          Unix.connect fd (Tcp.address a);
+          let frame = Hf_proto.Frame.frame (Hf_proto.Codec.encode reply) in
+          ignore (Unix.write_substring fd frame 0 (String.length frame));
+          let deadline = Unix.gettimeofday () +. 5.0 in
+          while indexed () > 0 && Unix.gettimeofday () < deadline do
+            Thread.delay 0.01
+          done);
+      check_int "stale leaf dropped" 0 (indexed ()))
+
 let () =
   Alcotest.run "hf_bloofi"
     [
@@ -448,5 +502,7 @@ let () =
             test_sim_requery_broadcast_sound;
           Alcotest.test_case "epoch regression on restart (tcp)" `Quick
             test_tcp_epoch_regression_sound;
+          Alcotest.test_case "undecodable summary drops the stale leaf (tcp)" `Quick
+            test_tcp_undecodable_summary_drops_stale_leaf;
         ] );
     ]

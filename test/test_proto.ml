@@ -750,6 +750,19 @@ let prop_garbage_never_raises =
       | Some _ | None -> true
       | exception _ -> false)
 
+(* A length prefix far past the input's end must be rejected before it
+   sizes an allocation; this input once made every decoder raise
+   Out_of_memory. *)
+let test_oversized_length_rejected () =
+  let input =
+    "\127A\b,\030]\181\211\224\031\r{\193\167N5p\216\213\224\203I*'C\161t\148%/\240"
+  in
+  List.iter
+    (fun decode ->
+      check_bool "rejected" true (match decode input with Ok _ -> false | Error _ -> true))
+    [ Codec.decode; (fun s -> Result.map fst (Codec.decode_traced s));
+      (fun s -> Result.map (fun (m, _, _) -> m) (Codec.decode_enveloped s)) ]
+
 (* --- Reliable link state machine --- *)
 
 module Reliable = Hf_proto.Reliable
@@ -997,6 +1010,8 @@ let () =
           qtest prop_message_roundtrip;
           qtest prop_truncation_rejected;
           qtest prop_garbage_never_raises;
+          Alcotest.test_case "oversized length prefix rejected" `Quick
+            test_oversized_length_rejected;
         ] );
       ( "frame",
         [
