@@ -214,9 +214,9 @@ type t = {
          context (its credit is dead — same as a loss).  Bounded FIFO. *)
   closed_order : Message.query_id Queue.t; [@hf.guarded_by "locked"]
   mutable running : bool;
-  mutable ticker : Thread.t option;
-      (* the reliability ticker, joinable on its own: shutdown quiesces
-         it before tearing connections down *)
+  mutable clock : Thread.t option;
+      (* the site clock ([clock_loop]), the one timer thread: shutdown
+         joins it before tearing connections down *)
   mutable dead_writers : Thread.t list; [@hf.guarded_by "locked"]
       (* writer threads of connections discarded while the site lock was
          held ([conn_discard]): Thread.join can block, so shutdown joins
@@ -269,10 +269,7 @@ type t = {
   peer_stats_token : (int, int) Hashtbl.t; [@hf.guarded_by "locked"]
       (* peer -> highest pull token that snapshotting has answered *)
   stats_cond : Condition.t; (* signalled when a Stats_report lands *)
-  stats_period : float option;
-  mutable stats_ticker : Thread.t option;
-      (* periodic scrape thread; joined at shutdown before connections
-         come down, like the reliability ticker *)
+  stats_period : float option; (* scrape period, run by the site clock *)
   mutable monitor : Unix.file_descr option;
       (* always-on monitoring surface: a loopback listener that answers
          every connection with a Prometheus text dump of [registry] *)
@@ -1301,9 +1298,9 @@ let handle_message t ?(span = 0) ?rel message =
 
 (* Fire every due link deadline: standalone acks whose piggyback window
    expired, retransmissions, and retry-cap give-ups.  Driven by the
-   reliability ticker thread — the wall-clock twin of the simulator's
-   timer events.  The link table is snapshotted first because a give-up
-   may open a new link (to the originator) mid-walk. *)
+   site clock — the wall-clock twin of the simulator's timer events.
+   The link table is snapshotted first because a give-up may open a new
+   link (to the originator) mid-walk. *)
 let poke_links t =
   let now = Unix.gettimeofday () in
   let links = Hashtbl.fold (fun peer link acc -> (peer, link) :: acc) t.links [] in
@@ -1332,6 +1329,47 @@ let poke_links t =
         (Hf_proto.Reliable.poll link ~now))
     links
 [@@hf.requires_lock "locked"]
+
+(* --- the site clock --- *)
+
+(* A site's one timer thread.  Each tick, under the site lock, it fires
+   due link deadlines (reliability on), sends the [stats_period] scrape
+   once it is due, and wakes every [await] and [pull_stats] so they see
+   their deadlines pass: Condition.wait has no timeout, and completion
+   (credit recovered, a Stats_report landing) broadcasts on its own, so
+   a waiter sleeps at most one tick past its deadline and never past its
+   answer.  The tick is the reliability poll period when that layer is
+   on, else [idle_tick]. *)
+let idle_tick = 0.01
+
+let clock_loop t () =
+  let period =
+    match t.reliability with
+    | Some cfg -> Float.max 0.002 (Float.min 0.01 (cfg.ack_delay /. 2.0))
+    | None -> idle_tick
+  in
+  let next_scrape = ref (Unix.gettimeofday () +. Option.value t.stats_period ~default:0.0) in
+  while t.running do
+    Thread.delay period;
+    if t.running then
+      locked t (fun () ->
+          if Option.is_some t.reliability then poke_links t;
+          (* Periodic scrape (DESIGN.md §4i): pull every peer's registry
+             so [peer_stats] stays warm without anyone asking.  Token 0
+             marks the replies unsolicited — a concurrent [pull_stats]
+             with a real token never mistakes one for its answer. *)
+          (match t.stats_period with
+           | Some every when Unix.gettimeofday () >= !next_scrape ->
+             next_scrape := !next_scrape +. every;
+             Array.iteri
+               (fun peer _ ->
+                 if peer <> t.id then
+                   send t ~dst:peer (Message.Stats_pull { src = t.id; token = 0 }))
+               t.peers
+           | Some _ | None -> ());
+          Condition.broadcast t.done_cond;
+          Condition.broadcast t.stats_cond)
+  done
 
 (* --- reader / accept threads --- *)
 
@@ -1411,7 +1449,7 @@ let create ~site ?(batch = Hf_proto.Batch.unbatched) ?reliability ?cache
       closed = Hashtbl.create 32;
       closed_order = Queue.create ();
       running = true;
-      ticker = None;
+      clock = None;
       dead_writers = [];
       join_errors = Atomic.make 0;
       tracer;
@@ -1445,7 +1483,6 @@ let create ~site ?(batch = Hf_proto.Batch.unbatched) ?reliability ?cache
       peer_stats_token = Hashtbl.create 8;
       stats_cond = Condition.create ();
       stats_period;
-      stats_ticker = None;
       monitor = None;
       admission_wait;
     }
@@ -1526,42 +1563,9 @@ let create ~site ?(batch = Hf_proto.Batch.unbatched) ?reliability ?cache
   (* The accept, reader, monitor and drainer threads run detached: each
      ends on its own once its socket closes or its query drains. *)
   ignore (Thread.create (accept_loop t) ());
-  (* Reliability ticker: drives the retransmit / delayed-ack / give-up
-     deadlines of every peer link.  Kept joinable so [shutdown] can join
-     it FIRST — it transmits on the outbound connections, which must
-     not be torn down under it. *)
-  (match reliability with
-   | None -> ()
-   | Some cfg ->
-     let period = Float.max 0.002 (Float.min 0.01 (cfg.ack_delay /. 2.0)) in
-     let ticker () =
-       while t.running do
-         Thread.delay period;
-         if t.running then locked t (fun () -> poke_links t)
-       done
-     in
-     t.ticker <- Some (Thread.create ticker ()));
-  (* Periodic scrape (DESIGN.md §4i): pull every peer's registry on a
-     timer so [peer_stats] stays warm without anyone asking.  Token 0
-     marks the replies unsolicited — a concurrent [pull_stats] with a
-     real token never mistakes one for its answer.  Joined at shutdown
-     before connections come down, like the reliability ticker. *)
-  (match stats_period with
-   | None -> ()
-   | Some period ->
-     let ticker () =
-       while t.running do
-         Thread.delay period;
-         if t.running then
-           locked t (fun () ->
-               Array.iteri
-                 (fun peer _ ->
-                   if peer <> t.id then
-                     send t ~dst:peer (Message.Stats_pull { src = t.id; token = 0 }))
-                 t.peers)
-       done
-     in
-     t.stats_ticker <- Some (Thread.create ticker ()));
+  (* The site clock transmits on the outbound connections, so it stays
+     joinable: [shutdown] joins it before they are torn down. *)
+  t.clock <- Some (Thread.create (clock_loop t) ());
   (* The always-on monitoring surface: a plain-TCP loopback listener
      that answers every connection with a Prometheus text dump of this
      site's registry and closes.  No HTTP framing — `nc localhost port`
@@ -1636,24 +1640,17 @@ let set_peers t peers =
 let shutdown t =
   if t.running then begin
     t.running <- false;
-    (* Quiesce the reliability ticker BEFORE tearing connections down
-       (satellite S2): it periodically takes the site lock and
-       transmits on the outbound connections, so closing them first
-       races a retransmit against the writer join — the poke either
-       lands on a closing queue (frame silently dropped after the
-       writer exited) or reopens a connection to a peer that is itself
-       mid-shutdown.  [running] is already false, so the join returns
-       within one ticker period. *)
-    (match t.ticker with
+    (* Quiesce the site clock BEFORE tearing connections down: each
+       tick takes the site lock and may transmit (retransmits, acks,
+       the stats scrape), so closing the connections first races a
+       frame against the writer join — it either lands on a closing
+       queue (silently dropped after the writer exited) or reopens a
+       connection to a peer that is itself mid-shutdown.  [running] is
+       already false, so the join returns within one tick. *)
+    (match t.clock with
      | Some thread ->
        (try Thread.join thread with _ -> Atomic.incr t.join_errors);
-       t.ticker <- None
-     | None -> ());
-    (* the stats ticker transmits too: same quiesce-before-teardown *)
-    (match t.stats_ticker with
-     | Some thread ->
-       (try Thread.join thread with _ -> Atomic.incr t.join_errors);
-       t.stats_ticker <- None
+       t.clock <- None
      | None -> ());
     (* wake the monitor accept thread the same way as the listener's *)
     (match t.monitor with
@@ -1673,10 +1670,14 @@ let shutdown t =
     (* Snapshot under the lock, tear down outside it: [conn_close]
        joins each writer thread, and a join under the site lock would
        block every thread still draining (hfcheck R7).  Nothing new
-       lands in [conns] afterwards — [running] is false and the tickers
-       are already joined. *)
+       lands in [conns] afterwards — [running] is false and the clock
+       is already joined.  Nothing ticks any more either, so wake every
+       blocked [await] and [pull_stats] here: they see [running] false
+       and return instead of sleeping past their deadlines. *)
     let conns, dead_writers =
       locked t (fun () ->
+          Condition.broadcast t.done_cond;
+          Condition.broadcast t.stats_cond;
           let conns = Hashtbl.fold (fun _ conn acc -> conn :: acc) t.conns [] in
           Hashtbl.reset t.conns;
           let dead = t.dead_writers in
@@ -1792,28 +1793,21 @@ let submit_query (t : t) program initial =
               Sched.pp_config t.admission));
       { h_query = query; h_ctx = ctx; h_root_span = root_span; h_started = started })
 
-(* Wait for termination, or time out (e.g. a crashed peer).  The
-   stdlib's Condition.wait has no timeout, so a ticker thread pokes the
-   condition periodically; it is joined only after the lock is
-   released.  Timing out leaves the query running (and its admission
-   slot held): a second [await] on the same handle picks it back up. *)
+(* Wait for termination, or time out (e.g. a crashed peer).  Sleeps on
+   [done_cond], which termination and [cancel] broadcast at once; the
+   site clock also broadcasts it every tick, so the deadline is noticed
+   within a tick.  A shut-down site stops the wait too.  Timing out
+   leaves the query running (and its admission slot held): a second
+   [await] on the same handle picks it back up. *)
 let await ?(timeout = 10.0) (t : t) (handle : handle) =
   let ctx = handle.h_ctx in
   let deadline = Unix.gettimeofday () +. timeout in
-  let stop_ticker = ref false in
-  let ticker =
-    Thread.create
-      (fun () ->
-        while not !stop_ticker do
-          Thread.delay 0.02;
-          locked t (fun () -> Condition.broadcast t.done_cond)
-        done)
-      ()
-  in
   let outcome =
     locked t (fun () ->
         while
-          (not (ctx.terminated || ctx.cancelled)) && Unix.gettimeofday () < deadline
+          (not (ctx.terminated || ctx.cancelled))
+          && t.running
+          && Unix.gettimeofday () < deadline
         do
           Condition.wait t.done_cond t.lock
         done;
@@ -1845,8 +1839,6 @@ let await ?(timeout = 10.0) (t : t) (handle : handle) =
           plan_decision = ctx.decision;
         })
   in
-  stop_ticker := true;
-  (try Thread.join ticker with _ -> Atomic.incr t.join_errors);
   Hf_obs.Histogram.observe t.query_rtt outcome.response_time;
   (match outcome.status with
    | Timed_out -> () (* still live: spans close when it terminates *)
@@ -1907,8 +1899,9 @@ let monitor_address t = Option.map Unix.getsockname t.monitor
    that token lands, or the timeout passes — an unreachable peer then
    contributes its last-known snapshot, if any, rather than blocking
    the scrape forever.  Returns (site, snapshot) pairs, this site
-   included, ascending by site id.  Same ticker-poke shape as [await]:
-   stdlib condition variables have no timed wait. *)
+   included, ascending by site id.  Same wait as [await], on
+   [stats_cond]: each report landing broadcasts it, the site clock
+   every tick. *)
 let pull_stats ?(timeout = 5.0) (t : t) =
   let token, peers =
     locked t (fun () ->
@@ -1925,16 +1918,6 @@ let pull_stats ?(timeout = 5.0) (t : t) =
         (token, !peers))
   in
   let deadline = Unix.gettimeofday () +. timeout in
-  let stop_ticker = ref false in
-  let ticker =
-    Thread.create
-      (fun () ->
-        while not !stop_ticker do
-          Thread.delay 0.01;
-          locked t (fun () -> Condition.broadcast t.stats_cond)
-        done)
-      ()
-  in
   let remote =
     locked t (fun () ->
         let missing () =
@@ -1945,7 +1928,7 @@ let pull_stats ?(timeout = 5.0) (t : t) =
               | None -> true)
             peers
         in
-        while missing () && Unix.gettimeofday () < deadline do
+        while missing () && t.running && Unix.gettimeofday () < deadline do
           Condition.wait t.stats_cond t.lock
         done;
         List.filter_map
@@ -1953,8 +1936,6 @@ let pull_stats ?(timeout = 5.0) (t : t) =
             Option.map (fun snap -> (peer, snap)) (Hashtbl.find_opt t.peer_stats peer))
           peers)
   in
-  stop_ticker := true;
-  (try Thread.join ticker with _ -> Atomic.incr t.join_errors);
   (* own snapshot outside the lock: gauges take it *)
   let own = (t.id, Hf_obs.Registry.snapshot t.registry) in
   List.sort (fun (a, _) (b, _) -> Int.compare a b) (own :: remote)

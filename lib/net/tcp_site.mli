@@ -35,7 +35,13 @@ val create :
   ?monitor_port:int ->
   unit ->
   t
-(** Bind 127.0.0.1 on an ephemeral port and start accepting.
+(** Bind 127.0.0.1 on an ephemeral port, start accepting and start the
+    site clock: the site's one timer thread.  Each tick it runs the
+    reliability deadlines and the [stats_period] scrape (when
+    configured) and wakes {!await} and {!pull_stats} waiters so they
+    notice their timeouts.  It ticks at the reliability poll period
+    ([ack_delay / 2], clamped to 2–10 ms) with reliability on, every
+    10 ms otherwise.
 
     [batch] (default [Flush_at 1], i.e. unbatched) coalesces work items
     bound for the same destination into one [Work_batch] message with a
@@ -53,8 +59,8 @@ val create :
 
     [reliability] (default off) layers ack/retransmit delivery under
     the protocol ({!Hf_proto.Reliable}): every frame carries a
-    per-peer sequence number and a piggybacked cumulative ack, a
-    ticker thread retransmits unacknowledged frames with exponential
+    per-peer sequence number and a piggybacked cumulative ack, the
+    site clock retransmits unacknowledged frames with exponential
     backoff, receivers drop redelivered duplicates before they reach a
     handler, and a peer that exhausts the retry cap is declared
     unreachable — its messages' credit reclaimed so the query still
@@ -99,10 +105,10 @@ val create :
     reliability on, a drain pauses shipping while some link holds
     [link_window] or more unacked frames (backpressure).
 
-    [stats_period] (default off) starts a scrape ticker that sends a
-    credit-free [Stats_pull] to every peer each period, keeping
-    {!known_peer_stats} warm without a client asking.  Raises
-    [Invalid_argument] unless positive.
+    [stats_period] (default off) has the site clock send a credit-free
+    [Stats_pull] to every peer each period (on the first tick once it
+    is due), keeping {!known_peer_stats} warm without a client asking.
+    Raises [Invalid_argument] unless positive.
 
     [monitor_port] (default off) binds an always-on monitoring surface:
     a plain-TCP loopback listener (port 0 = ephemeral, see
@@ -193,8 +199,12 @@ val await : ?timeout:float -> t -> handle -> outcome
     on, a permanently dead peer does not hang the query until the
     timeout: once its retry budget is spent the credit aboard its
     messages is reclaimed, termination converges, and the outcome is
-    [Partial].  A timeout leaves the query running (slot held); [await]
-    again to keep waiting. *)
+    [Partial].  Starts no thread: the caller sleeps until termination
+    or {!cancel} wakes it, or the site clock's next tick after the
+    deadline.  A timeout leaves the query running (slot held); [await]
+    again to keep waiting.  On a site that is shut down (or shuts down
+    meanwhile) it returns at once, [Timed_out] unless the query had
+    already finished or been cancelled. *)
 
 val cancel : t -> handle -> unit
 (** Abort a local query: a queued one just leaves the admission queue,
@@ -232,8 +242,10 @@ val pull_stats : ?timeout:float -> t -> (int * Hf_obs.Registry.snapshot) list
     A peer that misses the deadline contributes its last-known snapshot
     if any, so a dead site degrades the scrape instead of hanging it.
     Returns (site, snapshot) pairs including this site, ascending.
-    Stats messages are credit-free and loss-tolerant — they never touch
-    termination detection. *)
+    Starts no thread: the last report to land wakes the caller, else
+    the site clock's next tick after the deadline; a shut-down site
+    returns at once.  Stats messages are credit-free and loss-tolerant
+    — they never touch termination detection. *)
 
 val cluster_stats : ?timeout:float -> t -> Hf_obs.Registry.snapshot
 (** [pull_stats] merged into one cluster-wide registry view: counters
@@ -257,6 +269,6 @@ val profile : t -> handle -> outcome -> Hf_obs.Profile.t
     picture; separate processes each see their own half. *)
 
 val shutdown : t -> unit
-(** Quiesce the reliability and stats tickers, then close the
-    monitoring listener, the protocol listener and all connections;
-    idempotent. *)
+(** Join the site clock first, then close the monitoring listener, the
+    protocol listener and all connections.  Blocked {!await} and
+    {!pull_stats} calls wake and return.  Idempotent. *)

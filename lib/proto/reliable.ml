@@ -14,7 +14,7 @@
 
    No clock, no I/O: callers pass [now] and perform the actions [poll]
    returns, so the same machine runs in virtual time (simulator) and
-   wall time (TCP ticker thread). *)
+   wall time (the TCP site clock). *)
 
 type config = {
   ack_timeout : float;

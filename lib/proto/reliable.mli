@@ -20,8 +20,8 @@
     {!poll} returns the actions (retransmit / standalone ack / give up)
     the caller must perform.  The same state machine therefore runs
     under the discrete-event simulator (virtual time, timer events on
-    the event queue) and the TCP transport (wall time, a ticker
-    thread). *)
+    the event queue) and the TCP transport (wall time, the site
+    clock). *)
 
 type config = {
   ack_timeout : float;  (** initial retransmit timeout (seconds). *)

@@ -349,8 +349,8 @@ let test_tcp_leak_regression () =
       check_bool "all contexts evicted" true
         (eventually (fun () -> total_contexts sites = 0)))
 
-(* Satellite 2: shutdown with queries mid-flight (and the reliability
-   ticker live) must neither hang nor crash, whatever the interleaving. *)
+(* Shutdown with queries mid-flight (and the site clock retransmitting)
+   must neither hang nor crash, whatever the interleaving. *)
 let test_tcp_shutdown_under_load () =
   let fast =
     { Hf_proto.Reliable.ack_timeout = 0.05; backoff = 2.0; max_timeout = 0.2;

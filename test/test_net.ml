@@ -320,7 +320,7 @@ let test_stats_pull_three_sites () =
         (List.fold_left ( + ) 0 per_site)
         (counter merged "hf.net.messages_sent"))
 
-(* The [stats_period] ticker keeps [known_peer_stats] warm without a
+(* The [stats_period] scrape keeps [known_peer_stats] warm without a
    client pulling. *)
 let test_periodic_scrape_warms_peer_stats () =
   with_obs_sites ~stats_period:0.05 3 (fun sites ->
@@ -411,6 +411,120 @@ let test_profile_reconciles_over_tcp () =
         (List.exists (fun r -> r.P.ships > 0) p.P.sites);
       check_int "no dropped spans" 0 p.P.dropped_spans)
 
+(* --- the site clock --- *)
+
+(* Thread ids are handed out in increasing order, so the id of a
+   throwaway thread bounds every thread started before it. *)
+let next_thread_id () =
+  let probe = Thread.create ignore () in
+  Thread.join probe;
+  Thread.id probe
+
+(* An address nothing listens on: connecting to it is refused at once. *)
+let dead_address () =
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  let address = Unix.getsockname sock in
+  Unix.close sock;
+  address
+
+(* [f ()] and the wall seconds it took. *)
+let timed f =
+  let started = Unix.gettimeofday () in
+  let value = f () in
+  (value, Unix.gettimeofday () -. started)
+
+(* [timed f] on a thread of its own; the cell fills once it returns. *)
+let timed_in_thread f =
+  let result = ref None in
+  (Thread.create (fun () -> result := Some (timed f)) (), result)
+
+(* Shutting a site down stops its clock, so nothing would wake a waiter
+   blocked on it any more: shutdown itself must, well inside the
+   waiter's own timeout. *)
+let test_shutdown_wakes_waiters () =
+  with_sites 3 (fun sites ->
+      let oids = load_ring sites 12 in
+      Tcp.shutdown sites.(2);
+      let handle = Tcp.submit_query sites.(0) closure [ oids.(0) ] in
+      let awaiter, awaited =
+        timed_in_thread (fun () -> Tcp.await ~timeout:5.0 sites.(0) handle)
+      in
+      let puller, pulled = timed_in_thread (fun () -> Tcp.pull_stats ~timeout:5.0 sites.(0)) in
+      Thread.delay 0.2;
+      Tcp.shutdown sites.(0);
+      Thread.join awaiter;
+      Thread.join puller;
+      (match !awaited with
+       | Some (outcome, elapsed) ->
+         check_bool "await reports the query unfinished" true (outcome.Tcp.status = Tcp.Timed_out);
+         check_bool (Printf.sprintf "await returned after %.2f s, not 5 s" elapsed) true
+           (elapsed < 2.0)
+       | None -> Alcotest.fail "await raised");
+      match !pulled with
+      | Some (stats, elapsed) ->
+        check_bool "pull_stats still has its own snapshot" true (List.mem_assoc 0 stats);
+        check_bool (Printf.sprintf "pull_stats returned after %.2f s, not 5 s" elapsed) true
+          (elapsed < 2.0)
+      | None -> Alcotest.fail "pull_stats raised")
+
+(* Waiting starts no thread: over N queries on a connected ring the
+   only new threads are the N drainers (a timer thread per wait would
+   double that), and a stats pull starts none. *)
+let test_waits_start_no_thread () =
+  with_sites 3 (fun sites ->
+      let oids = load_ring sites 12 in
+      (* the first queries open every connection the ring uses *)
+      for _ = 1 to 2 do
+        ignore (Tcp.run_query sites.(0) closure [ oids.(0) ])
+      done;
+      let n = 20 in
+      let before = next_thread_id () in
+      for _ = 1 to n do
+        let outcome = Tcp.run_query sites.(0) closure [ oids.(0) ] in
+        check_bool "complete" true (outcome.Tcp.status = Tcp.Complete)
+      done;
+      let started = next_thread_id () - before - 1 in
+      check_bool (Printf.sprintf "%d threads for %d queries" started n) true (started <= n + 2);
+      let before = next_thread_id () in
+      check_int "every site reports" 3 (List.length (Tcp.pull_stats sites.(0)));
+      let started = next_thread_id () - before - 1 in
+      check_bool (Printf.sprintf "%d threads for one stats pull" started) true (started <= 1))
+
+(* Timeouts still hold with reliability off, where only the clock's
+   tick wakes a waiter whose answer never comes: no earlier than asked,
+   and at most a couple of ticks (plus scheduling slack) later. *)
+let test_timeouts_hold () =
+  with_sites 3 (fun sites ->
+      let oids = load_ring sites 12 in
+      let (_ : Tcp.outcome) = Tcp.run_query sites.(0) closure [ oids.(0) ] in
+      let known = Tcp.pull_stats sites.(0) in
+      (* Site 2 dies.  A shut-down site's accepted sockets outlive its
+         listener, so the survivors are also pointed at an address
+         nobody listens on: that drops their pooled connections to it. *)
+      Tcp.shutdown sites.(2);
+      let dead = dead_address () in
+      let peers = Array.mapi (fun i site -> if i = 2 then dead else Tcp.address site) sites in
+      Tcp.set_peers sites.(0) peers;
+      Tcp.set_peers sites.(1) peers;
+      let within what timeout elapsed =
+        check_bool (Printf.sprintf "%s: %.3f s >= %.1f s" what elapsed timeout) true
+          (elapsed >= timeout);
+        check_bool (Printf.sprintf "%s: %.3f s <= %.1f s + slack" what elapsed timeout) true
+          (elapsed <= timeout +. (2.0 *. 0.01) +. 0.3)
+      in
+      let outcome, elapsed =
+        timed (fun () -> Tcp.run_query ~timeout:0.1 sites.(0) closure [ oids.(0) ])
+      in
+      check_bool "dead peer: timed out" true (outcome.Tcp.status = Tcp.Timed_out);
+      within "await" 0.1 elapsed;
+      let stats, elapsed = timed (fun () -> Tcp.pull_stats ~timeout:0.2 sites.(0)) in
+      within "pull_stats" 0.2 elapsed;
+      Alcotest.(check (list int)) "every site, the dead one last-known" [ 0; 1; 2 ]
+        (List.map fst stats);
+      check_bool "site 2's snapshot is the one it last sent" true
+        (List.assoc 2 stats == List.assoc 2 known))
+
 let () =
   Alcotest.run "hf_net"
     [
@@ -442,5 +556,12 @@ let () =
             test_monitor_surface;
           Alcotest.test_case "profile reconciles with outcome" `Quick
             test_profile_reconciles_over_tcp;
+        ] );
+      ( "site clock",
+        [
+          Alcotest.test_case "shutdown wakes blocked waiters" `Quick test_shutdown_wakes_waiters;
+          Alcotest.test_case "await and pull_stats start no thread" `Quick
+            test_waits_start_no_thread;
+          Alcotest.test_case "timeouts still hold" `Quick test_timeouts_hold;
         ] );
     ]
