@@ -472,7 +472,6 @@ module type CLUSTER_FOR_ABLATION = sig
   val create :
     ?config:Cluster.config ->
     ?locate:(Hf_data.Oid.t -> int) ->
-    ?trace:Hf_sim.Trace.t ->
     ?tracer:Hf_obs.Tracer.t ->
     n_sites:int ->
     unit ->

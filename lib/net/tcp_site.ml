@@ -1408,7 +1408,7 @@ let accept_loop t () =
 (* --- lifecycle --- *)
 
 let create ~site ?(batch = Hf_proto.Batch.unbatched) ?reliability ?cache
-    ?(admission = Sched.unlimited) ?(exec = Exec_ship) ?(bloofi = true)
+    ?(admission = Sched.unlimited) ?(exec = Exec_ship)
     ?(tracer = Hf_obs.Tracer.noop) ?stats_period ?monitor_port () =
   Hf_proto.Batch.validate_policy batch;
   Option.iter Hf_proto.Reliable.validate reliability;
@@ -1464,7 +1464,7 @@ let create ~site ?(batch = Hf_proto.Batch.unbatched) ?reliability ?cache
       dup_drops = 0;
       acks_sent = 0;
       give_ups = 0;
-      core = Site_core.create ~self:site ~cache ~bloofi ~bloofi_depth;
+      core = Site_core.create ~self:site ~cache ~bloofi:true ~bloofi_depth;
       cache_hits = 0;
       cache_misses = 0;
       cache_prunes = 0;

@@ -64,5 +64,4 @@ val merge_snapshots : snapshot list -> snapshot
 (** Cross-site aggregation: counters and gauges sum, histograms merge;
     any name present on any input appears in the result. *)
 
-val snapshot_to_json : snapshot -> Json.t
 val pp_snapshot : Format.formatter -> snapshot -> unit

@@ -314,7 +314,6 @@ module Make (D : Hf_termination.Detector.S) = struct
     sites : site array;
     config : config;
     locate : Oid.t -> int;
-    trace : Hf_sim.Trace.t option;
     tracer : Hf_obs.Tracer.t;
     registry : Hf_obs.Registry.t; (* cluster-wide metrics *)
     work_batch_items : Hf_obs.Histogram.t; (* items per shipped work message *)
@@ -335,7 +334,7 @@ module Make (D : Hf_termination.Detector.S) = struct
            plus the thunk that seeds it once a slot frees *)
   }
 
-  let create ?(config = default_config) ?locate ?trace ?(tracer = Hf_obs.Tracer.noop)
+  let create ?(config = default_config) ?locate ?(tracer = Hf_obs.Tracer.noop)
       ~n_sites () =
     if n_sites <= 0 then invalid_arg "Cluster.create: n_sites must be positive";
     (match config.reliability with
@@ -386,7 +385,6 @@ module Make (D : Hf_termination.Detector.S) = struct
         sites;
         config;
         locate;
-        trace;
         tracer;
         registry;
         work_batch_items;
@@ -464,12 +462,6 @@ module Make (D : Hf_termination.Detector.S) = struct
   let kill_site t site = t.sites.(site).alive <- false
 
   let revive_site t site = t.sites.(site).alive <- true
-
-  let record t site kind detail =
-    match t.trace with
-    | None -> ()
-    | Some trace ->
-      Hf_sim.Trace.record trace ~time:(Hf_sim.Sim.now t.sim) ~site ~kind ~detail
 
   (* --- byte-size estimates (the real codec is exercised separately in
      tests; the simulator only needs consistent accounting) --- *)
@@ -628,7 +620,6 @@ module Make (D : Hf_termination.Detector.S) = struct
     if not oq.terminated then begin
       oq.terminated <- true;
       oq.finish_time <- Hf_sim.Sim.now t.sim;
-      record t oq.id.originator "terminate" (Fmt.str "%a" Hf_proto.Message.pp_query_id oq.id);
       evict_query t oq
     end
 
@@ -662,12 +653,9 @@ module Make (D : Hf_termination.Detector.S) = struct
     | Some q -> q.Hf_proto.Message.originator
     | None -> -1
 
-  let mark_unreachable t oq dead =
-    if not (List.mem dead oq.unreachable_sites) then begin
-      oq.unreachable_sites <- dead :: oq.unreachable_sites;
-      record t oq.id.Hf_proto.Message.originator "unreachable"
-        (Fmt.str "site %d (%s)" dead (qname oq.id))
-    end
+  let mark_unreachable oq dead =
+    if not (List.mem dead oq.unreachable_sites) then
+      oq.unreachable_sites <- dead :: oq.unreachable_sites
 
   (* --- outgoing-batch bookkeeping --- *)
 
@@ -778,7 +766,6 @@ module Make (D : Hf_termination.Detector.S) = struct
               + ((List.length items - 1) * batch_header_bytes program)
           | None -> ())
         groups;
-      record t site.id "work-send" (Fmt.str "%d item(s) to %d" total dst);
       Hf_obs.Histogram.observe t.work_batch_items (float_of_int total);
       let span =
         Hf_obs.Tracer.start t.tracer ~parent:ctx0.span ~query:(qname ctx0.query)
@@ -848,7 +835,6 @@ module Make (D : Hf_termination.Detector.S) = struct
          | Some oq ->
            oq.metrics.Metrics.dropped_messages <- oq.metrics.Metrics.dropped_messages + 1
          | None -> ());
-        record t src "drop" (Fmt.str "%s to %d" label dst);
         Hf_obs.Tracer.finish ~detail:"dropped" t.tracer span
       end
       else begin
@@ -869,7 +855,6 @@ module Make (D : Hf_termination.Detector.S) = struct
         (* Fail fast: the retry cap already fired for this peer, so
            reclaim this message's credit immediately instead of queueing
            another doomed retransmission cycle. *)
-        record t src "unreachable-drop" (Fmt.str "%s to %d" label dst);
         Hf_obs.Tracer.finish ~detail:"unreachable" t.tracer span;
         abandon t ~src ~dst { label; transit; msg = message }
       end
@@ -878,7 +863,7 @@ module Make (D : Hf_termination.Detector.S) = struct
           Hf_proto.Reliable.send link.rel ~now:(Hf_sim.Sim.now t.sim)
             { label; transit; msg = message }
         in
-        transmit t ~src ~dst ~span ~label ~transit ~seq ~oq message;
+        transmit t ~src ~dst ~span ~transit ~seq ~oq message;
         arm_link t ~site:src ~peer:dst
       end
 
@@ -889,7 +874,7 @@ module Make (D : Hf_termination.Detector.S) = struct
      site work.  Duplicates die here, which is what makes redelivery
      idempotent: [D.on_recv_work] (credit deposit) and evaluation run at
      most once per sequence number. *)
-  and transmit t ~src ~dst ?(span = 0) ~label ~transit ~seq ~oq message =
+  and transmit t ~src ~dst ?(span = 0) ~transit ~seq ~oq message =
     let ack = Hf_proto.Reliable.take_ack t.sites.(src).links.(dst).rel in
     let dropped =
       t.config.loss > 0.0 && Hf_util.Prng.next_float t.jitter_prng < t.config.loss
@@ -899,7 +884,6 @@ module Make (D : Hf_termination.Detector.S) = struct
        | Some oq ->
          oq.metrics.Metrics.dropped_messages <- oq.metrics.Metrics.dropped_messages + 1
        | None -> ());
-      record t src "drop" (Fmt.str "%s to %d" label dst);
       Hf_obs.Tracer.finish ~detail:"dropped" t.tracer span
     end
     else begin
@@ -927,7 +911,6 @@ module Make (D : Hf_termination.Detector.S) = struct
                    | Some oq ->
                      oq.metrics.Metrics.dup_drops <- oq.metrics.Metrics.dup_drops + 1
                    | None -> ());
-                  record t dst "dup-drop" (Fmt.str "%s seq=%d from %d" label seq src);
                   false
             in
             if seq > 0 then arm_link t ~site:dst ~peer:src;
@@ -976,7 +959,6 @@ module Make (D : Hf_termination.Detector.S) = struct
                  | Some oq ->
                    oq.metrics.Metrics.retransmits <- oq.metrics.Metrics.retransmits + 1
                  | None -> ());
-                record t site "retransmit" (Fmt.str "%s seq=%d to %d" sh.label seq peer);
                 let span =
                   match oq with
                   | Some oq ->
@@ -986,7 +968,7 @@ module Make (D : Hf_termination.Detector.S) = struct
                   | None -> 0
                 in
                 Hf_obs.Tracer.set_detail t.tracer span (Fmt.str "%s seq=%d" sh.label seq);
-                transmit t ~src:site ~dst:peer ~span ~label:sh.label ~transit:sh.transit
+                transmit t ~src:site ~dst:peer ~span ~transit:sh.transit
                   ~seq ~oq sh.msg)
               entries
           | Hf_proto.Reliable.Give_up entries ->
@@ -1000,8 +982,7 @@ module Make (D : Hf_termination.Detector.S) = struct
      delivery substrate. *)
   and send_ack t ~src ~dst =
     t.standalone_acks <- t.standalone_acks + 1;
-    record t src "ack-send" (Fmt.str "to %d" dst);
-    transmit t ~src ~dst ~label:"ack" ~transit:t.config.costs.control_transit ~seq:0
+    transmit t ~src ~dst ~transit:t.config.costs.control_transit ~seq:0
       ~oq:None (Ack { src })
 
   (* The retry cap fired for [sh] (or the link was already dead at send
@@ -1017,7 +998,6 @@ module Make (D : Hf_termination.Detector.S) = struct
     (match Option.bind (message_query sh.msg) (find_open t) with
      | Some oq -> oq.metrics.Metrics.give_ups <- oq.metrics.Metrics.give_ups + 1
      | None -> ());
-    record t src "give-up" (Fmt.str "%s to %d" sh.label dst);
     let site = t.sites.(src) in
     let reclaim query tag =
       (match context_of t site query with
@@ -1067,7 +1047,7 @@ module Make (D : Hf_termination.Detector.S) = struct
     match find_open t query with
     | None -> ()
     | Some oq ->
-      if src = query.Hf_proto.Message.originator then mark_unreachable t oq dead
+      if src = query.Hf_proto.Message.originator then mark_unreachable oq dead
       else
         deliver t ~src ~oq:(Some oq) ~label:"unreachable"
           ~transit:t.config.costs.control_transit
@@ -1084,7 +1064,6 @@ module Make (D : Hf_termination.Detector.S) = struct
            oq.metrics.Metrics.control_messages <- oq.metrics.Metrics.control_messages + 1;
            Metrics.add_busy oq.metrics src t.config.costs.control_send
          | None -> ());
-        record t src "control-send" (Fmt.str "to %d: %a" dst D.pp_control payload);
         ( t.config.costs.control_send,
           fun () ->
             let span =
@@ -1117,7 +1096,6 @@ module Make (D : Hf_termination.Detector.S) = struct
     let bump f = match find_open t ctx.query with Some oq -> f oq.metrics | None -> () in
     (* Pruned and Hit come only from a validated destination *)
     let skipped name =
-      record t site.id name (Fmt.str "ship to %d skipped (%s)" dst (qname ctx.query));
       ignore
         (Hf_obs.Tracer.instant t.tracer ~parent:ctx.span ~query:(qname ctx.query)
            ~site:site.id ~phase:Hf_obs.Span.Cache
@@ -1164,7 +1142,6 @@ module Make (D : Hf_termination.Detector.S) = struct
            oq.metrics.Metrics.control_messages <- oq.metrics.Metrics.control_messages + 1;
            Metrics.add_busy oq.metrics site.id t.config.costs.control_send
          | None -> ());
-        record t site.id "cache-validate-send" (Fmt.str "to %d" dst);
         ( t.config.costs.control_send,
           fun () ->
             let span =
@@ -1244,8 +1221,7 @@ module Make (D : Hf_termination.Detector.S) = struct
   (* Ship buffered results (and piggybacked controls) to the originator;
      or, with nothing buffered, send the detector's drain controls
      standalone. *)
-  and drain t site ctx =
-    record t site.id "drain" (Fmt.str "%a" Hf_proto.Message.pp_query_id ctx.query);
+  and drain t site (ctx : context) =
     ignore
       (Hf_obs.Tracer.instant t.tracer ~parent:ctx.span ~query:(qname ctx.query)
          ~site:site.id ~phase:Hf_obs.Span.Drain "drain");
@@ -1264,8 +1240,6 @@ module Make (D : Hf_termination.Detector.S) = struct
              oq.metrics.Metrics.control_messages <- oq.metrics.Metrics.control_messages + 1;
              Metrics.add_busy oq.metrics site.id t.config.costs.control_send
            | None -> ());
-          record t site.id "cache-answers-send"
-            (Fmt.str "%d verdict(s) to %d" (List.length answers) ctx.q.origin);
           ( t.config.costs.control_send,
             fun () ->
               let span =
@@ -1314,8 +1288,6 @@ module Make (D : Hf_termination.Detector.S) = struct
                     oq.metrics.Metrics.results_shipped + List.length items
                 | Hf_proto.Message.Count _ -> ())
              | None -> ());
-            record t site.id "result-send"
-              (Fmt.str "%d items to %d" (List.length items) ctx.q.origin);
             ( t.config.costs.result_msg_send,
               fun () ->
                 let span =
@@ -1462,7 +1434,6 @@ module Make (D : Hf_termination.Detector.S) = struct
         | (ctx0, _, _) :: _ ->
           let total = batch_total resolved in
           let duration = Hf_sim.Costs.batch_recv costs ~items:total in
-          record t site.id "work-recv" (Fmt.str "%d item(s)" total);
           (match find_open t ctx0.query with
            | Some oq -> Metrics.add_busy oq.metrics site.id duration
            | None -> ());
@@ -1498,7 +1469,6 @@ module Make (D : Hf_termination.Detector.S) = struct
                 *. costs.result_item)
           in
           Metrics.add_busy oq.metrics site.id duration;
-          record t site.id "result-recv" (Fmt.str "%d new items" (List.length new_items));
           ignore
             (Hf_obs.Tracer.instant t.tracer ~parent:span ~query:(qname query)
                ~site:site.id ~phase:Hf_obs.Span.Recv
@@ -1529,7 +1499,6 @@ module Make (D : Hf_termination.Detector.S) = struct
           (match find_open t query with
            | Some oq -> Metrics.add_busy oq.metrics site.id costs.control_recv
            | None -> ());
-          record t site.id "control-recv" (Fmt.str "%a" D.pp_control payload);
           ( costs.control_recv,
             fun () ->
               let result = D.on_recv_control ctx.detector ~src payload in
@@ -1570,12 +1539,11 @@ module Make (D : Hf_termination.Detector.S) = struct
         | None -> (0.0, fun () -> ())
         | Some oq ->
           Metrics.add_busy oq.metrics site.id costs.control_recv;
-          (costs.control_recv, fun () -> mark_unreachable t oq dead))
+          (costs.control_recv, fun () -> mark_unreachable oq dead))
     | Cache_validate { query; src; span } ->
       (match find_open t query with
        | Some oq -> Metrics.add_busy oq.metrics site.id costs.control_recv
        | None -> ());
-      record t site.id "cache-validate-recv" (Fmt.str "from %d" src);
       ( costs.control_recv,
         fun () ->
           let version, summary = Site_core.answer_validate site.core site.store ~peer:src in
@@ -1587,9 +1555,6 @@ module Make (D : Hf_termination.Detector.S) = struct
                    oq.metrics.Metrics.control_messages + 1;
                  Metrics.add_busy oq.metrics site.id t.config.costs.control_send
                | None -> ());
-              record t site.id "cache-version-send"
-                (Fmt.str "v=%d to %d%s" version src
-                   (if Option.is_none summary then "" else " +summary"));
               ( t.config.costs.control_send,
                 fun () ->
                   let rspan =
@@ -1607,7 +1572,6 @@ module Make (D : Hf_termination.Detector.S) = struct
       (match find_open t query with
        | Some oq -> Metrics.add_busy oq.metrics site.id costs.control_recv
        | None -> ());
-      record t site.id "cache-version-recv" (Fmt.str "site %d at v=%d" peer version);
       ( costs.control_recv,
         fun () ->
           Site_core.learn site.core ~peer ~version ~epoch summary;
@@ -1618,8 +1582,6 @@ module Make (D : Hf_termination.Detector.S) = struct
       (match find_open t query with
        | Some oq -> Metrics.add_busy oq.metrics site.id costs.control_recv
        | None -> ());
-      record t site.id "cache-answers-recv"
-        (Fmt.str "%d verdict(s) from %d" (List.length answers) src);
       ( costs.control_recv,
         fun () ->
           match context_of t ~cause:span site query with
@@ -1651,9 +1613,6 @@ module Make (D : Hf_termination.Detector.S) = struct
           let duration =
             costs.msg_recv +. (float_of_int domain *. costs.process)
           in
-          record t site.id "scatter-recv"
-            (Fmt.str "%d root(s), %d-node domain from %d" (List.length roots)
-               domain src);
           (match find_open t query with
            | Some oq -> Metrics.add_busy oq.metrics site.id duration
            | None -> ());
@@ -1690,8 +1649,6 @@ module Make (D : Hf_termination.Detector.S) = struct
                        oq.metrics.Metrics.gather_bytes
                        + gather_message_bytes nodes
                    | None -> ());
-                  record t site.id "gather-send"
-                    (Fmt.str "%d node(s) to %d" (List.length nodes) ctx.q.origin);
                   ( t.config.costs.result_msg_send,
                     fun () ->
                       let gspan =
@@ -1718,8 +1675,6 @@ module Make (D : Hf_termination.Detector.S) = struct
             +. (float_of_int (List.length nodes) *. costs.result_item)
           in
           Metrics.add_busy oq.metrics site.id duration;
-          record t site.id "gather-recv"
-            (Fmt.str "%d node(s) from %d" (List.length nodes) src);
           ignore
             (Hf_obs.Tracer.instant t.tracer ~parent:span ~query:(qname query)
                ~site:site.id ~phase:Hf_obs.Span.Scatter
@@ -1985,8 +1940,6 @@ module Make (D : Hf_termination.Detector.S) = struct
           +. (float_of_int (List.length sites) *. t.config.costs.msg_send)
         in
         Metrics.add_busy oq.metrics origin duration;
-        record t origin "scatter-seed"
-          (Fmt.str "%d site(s), %d-node local domain" (List.length sites) domain);
         ( duration,
           fun () ->
             (* Local half: the originator evaluates its own domain and
@@ -2155,7 +2108,6 @@ module Make (D : Hf_termination.Detector.S) = struct
         Hf_obs.Tracer.finish ~detail:"cancelled" t.tracer oq.span
       end
       else begin
-        record t oq.id.originator "cancel" (qname oq.id);
         (* Empty every working set first so tasks already queued for
            this query's contexts complete as no-ops. *)
         Array.iter

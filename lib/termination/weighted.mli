@@ -16,19 +16,6 @@ include Detector.S with type tag := tag and type control := control
 (** {1 Instrumentation} *)
 
 val held : t -> Credit.t
-val recovered : t -> Credit.t
 
 val splits : t -> int
 (** Number of credit splits performed (one per work message sent). *)
-
-val return_messages : t -> int
-(** Number of credit-return control messages emitted by this site. *)
-
-val deepest_split : t -> int
-(** Largest atom exponent ever given away by this site — how finely the
-    query's fan-out diced the unit credit (an atom of exponent [k] is
-    worth 2{^-k}). *)
-
-val register : ?prefix:string -> t -> Hf_obs.Registry.t -> unit
-(** Install the split/return counters as views in [registry] under
-    [prefix] (default ["hf.termination"]). *)

@@ -165,10 +165,10 @@ let config_of ?(bloofi = true) ~seed ~cache ((batch, reliable, loss) : cell) =
 
 (* --- TCP sites -------------------------------------------------------- *)
 
-let with_tcp_sites ?batch ?reliability ?cache ?admission ?exec ?bloofi n f =
+let with_tcp_sites ?batch ?reliability ?cache ?admission ?exec n f =
   let sites =
     Array.init n (fun site ->
-        Tcp.create ~site ?batch ?reliability ?cache ?admission ?exec ?bloofi ())
+        Tcp.create ~site ?batch ?reliability ?cache ?admission ?exec ())
   in
   let addresses = Array.map Tcp.address sites in
   Array.iter (fun site -> Tcp.set_peers site addresses) sites;

@@ -390,6 +390,29 @@ let prop_bfs_dfs_same_results =
       let dfs = Local.run_store ~order:Local.Dfs ~store program [ oids.(0) ] in
       Oid.Set.equal bfs.Local.result_set dfs.Local.result_set)
 
+(* Each evaluation — processed, mark-skipped or dangling — is an initial
+   item or one a dereference spawned, whatever the order.  The reliable
+   cluster's "nothing evaluated twice" property rests on this identity;
+   [objects_processed] alone is order-dependent, because a walk that
+   stops at another item's mark still counts as processed. *)
+let prop_evaluations_are_seeds_or_spawns =
+  QCheck2.Test.make ~name:"every evaluation is a seed or a spawn, in either order" ~count:100
+    QCheck2.Gen.int (fun seed ->
+      let prng = Hf_util.Prng.create seed in
+      let n = 2 + Hf_util.Prng.next_int prng 12 in
+      let store, oids = random_graph_store prng n in
+      let program =
+        Hf_query.Compile.compile (parse "[ (Pointer, \"R\", ?X) ^^X ]* (Keyword, \"hot\", ?)")
+      in
+      let initial = [ oids.(0); oids.(n - 1) ] in
+      List.for_all
+        (fun order ->
+          let s = (Local.run_store ~order ~store program initial).Local.stats in
+          s.Hf_engine.Stats.objects_processed + s.Hf_engine.Stats.objects_skipped
+          + s.Hf_engine.Stats.dangling
+          = List.length initial + s.Hf_engine.Stats.spawned)
+        [ Local.Bfs; Local.Dfs ])
+
 (* --- Miscellaneous --- *)
 
 let test_empty_initial_set () =
@@ -491,7 +514,7 @@ let () =
           qtest prop_depth_k;
         ] );
       ( "search order",
-        [ qtest prop_bfs_dfs_same_results ] );
+        [ qtest prop_bfs_dfs_same_results; qtest prop_evaluations_are_seeds_or_spawns ] );
       ( "misc",
         [
           Alcotest.test_case "empty initial set" `Quick test_empty_initial_set;

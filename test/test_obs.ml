@@ -484,6 +484,74 @@ let test_tracer_registers_health () =
   | Some (Registry.Gauge read) -> check_float "rate gauge" 0.9999 (read ())
   | _ -> Alcotest.fail "missing rate gauge"
 
+(* --- telemetry names: live ≡ documented ---------------------------------- *)
+
+(* Every [hf.<layer>.<name>] under doc/: a maximal run of [a-z0-9_.]
+   after "hf.", trailing dots trimmed, exactly three parts (so the
+   [hf.server.*] wildcards are not names).  Dune runs tests from
+   _build/default/test, [dune exec] from the project root. *)
+let documented_names () =
+  let dir = if Sys.file_exists "../doc/architecture.md" then "../doc" else "doc" in
+  let names = Hashtbl.create 64 in
+  let name_char c = (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c = '_' || c = '.' in
+  Array.iter
+    (fun file ->
+      if Filename.check_suffix file ".md" then begin
+        let text = In_channel.with_open_bin (Filename.concat dir file) In_channel.input_all in
+        let len = String.length text in
+        for i = 0 to len - 4 do
+          if String.sub text i 3 = "hf." && (i = 0 || not (name_char text.[i - 1])) then begin
+            let j = ref i in
+            while !j < len && name_char text.[!j] do incr j done;
+            while !j > i && text.[!j - 1] = '.' do decr j done;
+            let name = String.sub text i (!j - i) in
+            match String.split_on_char '.' name with
+            | [ _; layer; short ] when layer <> "" && short <> "" ->
+              Hashtbl.replace names name ()
+            | _ -> ()
+          end
+        done
+      end)
+    (Sys.readdir dir);
+  List.sort String.compare (Hashtbl.fold (fun name () acc -> name :: acc) names [])
+
+(* The names the two running registries hold: a simulator cluster with
+   every optional layer on, and one TCP site configured the same way. *)
+let live_names () =
+  let config =
+    {
+      Hf_server.Cluster.default_config with
+      Hf_server.Cluster.cache = Some Hf_index.Remote_cache.default;
+      bloofi = true;
+      reliability = Some Hf_proto.Reliable.default;
+    }
+  in
+  let cluster = Hf_server.Instances.Weighted.create ~config ~n_sites:3 () in
+  let sim = Registry.snapshot (Hf_server.Instances.Weighted.registry cluster) in
+  let site =
+    Hf_net.Tcp_site.create ~site:0 ~cache:Hf_index.Remote_cache.default
+      ~reliability:Hf_proto.Reliable.default ()
+  in
+  let tcp =
+    Fun.protect
+      ~finally:(fun () -> Hf_net.Tcp_site.shutdown site)
+      (fun () -> Registry.snapshot (Hf_net.Tcp_site.registry site))
+  in
+  List.sort_uniq String.compare (List.map fst (sim @ tcp))
+
+let missing ~from names = List.filter (fun n -> not (List.mem n from)) names
+
+let test_documented_names_are_live () =
+  let live = live_names () in
+  Alcotest.(check (list string))
+    "documented but held by no registry" [] (missing ~from:live (documented_names ()))
+
+let test_live_names_are_documented () =
+  let documented = documented_names () in
+  let live = live_names () in
+  check_bool "registries are populated" true (List.length live >= 50);
+  Alcotest.(check (list string)) "live but undocumented" [] (missing ~from:documented live)
+
 (* --- profile: EXPLAIN ANALYZE from spans --------------------------------- *)
 
 module Profile = Hf_obs.Profile
@@ -546,20 +614,6 @@ let test_profile_without_root () =
   check_float "extent" 5.0 p.Profile.total_s;
   check_int "dropped recorded" 5 p.Profile.dropped_spans;
   check_int "no ships, zero rounds" 0 p.Profile.rounds
-
-(* --- sim trace: dropped counter (satellite) ----------------------------- *)
-
-let test_sim_trace_dropped () =
-  let tr = Hf_sim.Trace.create ~limit:2 () in
-  for i = 1 to 5 do
-    Hf_sim.Trace.record tr ~time:(float_of_int i) ~site:0 ~kind:"k" ~detail:""
-  done;
-  check_int "recorded up to limit" 2 (Hf_sim.Trace.count tr);
-  check_int "dropped past limit" 3 (Hf_sim.Trace.dropped tr);
-  let rendered = Fmt.str "%a" Hf_sim.Trace.pp tr in
-  check_bool "pp reports the drop" true (contains "dropped" rendered);
-  Hf_sim.Trace.clear tr;
-  check_int "clear resets dropped" 0 (Hf_sim.Trace.dropped tr)
 
 (* --- traced wire envelope ----------------------------------------------- *)
 
@@ -723,6 +777,13 @@ let () =
           Alcotest.test_case "snapshot capture and diff" `Quick test_snapshot_capture_and_diff;
           Alcotest.test_case "merge snapshots across sites" `Quick test_merge_snapshots;
         ] );
+      ( "telemetry names",
+        [
+          Alcotest.test_case "every documented name is live" `Quick
+            test_documented_names_are_live;
+          Alcotest.test_case "every live name is documented" `Quick
+            test_live_names_are_documented;
+        ] );
       ( "prometheus",
         [
           Alcotest.test_case "names and escapes" `Quick test_prometheus_names_and_escapes;
@@ -746,7 +807,6 @@ let () =
           Alcotest.test_case "of_spans breakdown" `Quick test_profile_of_spans;
           Alcotest.test_case "rootless extent" `Quick test_profile_without_root;
         ] );
-      ("sim-trace", [ Alcotest.test_case "dropped counter" `Quick test_sim_trace_dropped ]);
       ( "codec",
         [
           Alcotest.test_case "traced roundtrip" `Quick test_codec_traced_roundtrip;

@@ -9,10 +9,9 @@ Two rules, both extracted from the source of truth in lib/:
    somewhere under doc/.
 2. Every ``hf.<layer>.<name>`` metric the code can register must be named
    somewhere under doc/.  Names are collected from (a) full string literals,
-   and (b) ``register``-style functions that build names as
-   ``prefix ^ "." ^ short`` — shorts are crossed with the file's default
-   prefix, or with every explicit ``~prefix:"hf.*"`` call-site argument in
-   lib/ when the register function has no default (the tracer).
+   and (b) the tracer's ``register``, which builds names as
+   ``prefix ^ ".short"`` — its shorts are crossed with every explicit
+   ``~prefix:"hf.*"`` call-site argument in lib/.
 
 Exit 1 listing every missing name, so a PR that adds a message or metric
 without documenting it fails in CI.  No third-party imports; runs anywhere
@@ -58,9 +57,6 @@ def wire_tags() -> list[str]:
 
 
 METRIC_LITERAL = re.compile(r'"(hf\.[a-z_]+\.[a-z_0-9]+)"')
-METRIC_SHORT = re.compile(r'prefix \^ "\.(?:" \^ )?([a-z_0-9]*)"?')
-HELPER_SHORT = re.compile(r'\b[cg] "([a-z_0-9]+)"')
-DEFAULT_PREFIX = re.compile(r'prefix = "(hf\.[a-z_]+)"')
 CALLSITE_PREFIX = re.compile(r'~prefix:"(hf\.[a-z_]+)"')
 
 
@@ -72,19 +68,12 @@ def metric_names() -> list[str]:
         callsite_prefixes |= set(CALLSITE_PREFIX.findall(text))
     for text in sources.values():
         names |= set(METRIC_LITERAL.findall(text))
-        if 'prefix ^ "' not in text:
-            continue
-        shorts: set[str] = set()
-        for m in re.finditer(r'prefix \^ "\.([a-z_0-9]+)"', text):
-            shorts.add(m.group(1))
-        if 'prefix ^ "." ^' in text:  # c/g helper style
-            shorts |= set(HELPER_SHORT.findall(text))
-        defaults = set(DEFAULT_PREFIX.findall(text))
-        prefixes = defaults if defaults else callsite_prefixes
-        for prefix in prefixes:
-            for short in shorts:
+        for short in re.findall(r'prefix \^ "\.([a-z_0-9]+)"', text):
+            for prefix in callsite_prefixes:
                 names.add(f"{prefix}.{short}")
-    if len(names) < 40:
+    # 57 live names (22 on the simulator's registry, 39 on a TCP site's,
+    # 4 of them shared); far fewer means the extraction broke
+    if len(names) < 50:
         sys.exit(f"check_docs: implausibly few metric names extracted ({len(names)})")
     return sorted(names)
 
